@@ -193,12 +193,48 @@ class ConcordanceResult:
         return None if self.total == 0 else self.concordant / self.total
 
 
-def _verdict(values_a: float, values_b: float, tie_tol: float) -> Preference:
-    if values_a > values_b + tie_tol:
-        return Preference.FIRST
-    if values_b > values_a + tie_tol:
-        return Preference.SECOND
-    return Preference.TIE
+def _index_pairs(pairs) -> tuple[list[ConfusionMatrix], np.ndarray]:
+    """Distinct matrices of ``pairs`` and a ``(2, n_pairs)`` slot index.
+
+    Matrices are told apart by identity. The list of pairs keeps every
+    matrix alive while ids are taken, so a freed id is never reused.
+    """
+    pairs = list(pairs)
+    slots: dict[int, int] = {}
+    matrices: list[ConfusionMatrix] = []
+    index = np.empty((2, len(pairs)), dtype=np.intp)
+    for col, (first, second) in enumerate(pairs):
+        for row, m in enumerate((first, second)):
+            slot = slots.get(id(m))
+            if slot is None:
+                slot = slots[id(m)] = len(matrices)
+                matrices.append(m)
+            index[row, col] = slot
+    return matrices, index
+
+
+def _verdicts(kind: MeasureKind, matrices, index: np.ndarray,
+              class_index: int | None,
+              tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair verdict of one kind and where it is defined on both sides.
+
+    ``kind`` is evaluated once per distinct matrix. The verdict is +1 when
+    the first matrix ranks higher, -1 when the second does and 0 for a tie;
+    it is meaningless where the mask is False.
+    """
+    ci = class_index if kind.class_specific else None
+    values = np.zeros(len(matrices))
+    defined = np.ones(len(matrices), dtype=bool)
+    for slot, m in enumerate(matrices):
+        v = evaluate(m, kind, ci).value
+        if v is None:
+            defined[slot] = False
+        else:
+            values[slot] = v
+    a, b = values[index[0]], values[index[1]]
+    verdict = ((a > b + tie_tol).astype(np.int8)
+               - (b > a + tie_tol).astype(np.int8))
+    return verdict, defined[index[0]] & defined[index[1]]
 
 
 def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
@@ -206,32 +242,21 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
                 tie_tolerance: float = TIE_TOLERANCE) -> ConcordanceResult:
     """Count pairs on which the two measures issue the same verdict.
 
-    ``pairs`` is a sequence of (first, second) ConfusionMatrix tuples. Pairs
-    where either measure is undefined on either matrix are excluded from the
-    total and reported separately.
+    ``pairs`` is any iterable of (first, second) ConfusionMatrix tuples,
+    generators included; each kind is evaluated once per distinct matrix.
+    Pairs where either measure is undefined on either matrix are excluded
+    from the total and reported separately.
     """
-    cache: dict[tuple[int, MeasureKind], float | None] = {}
-
-    def val(m: ConfusionMatrix, kind: MeasureKind) -> float | None:
-        key = (id(m), kind)
-        if key not in cache:
-            ci = class_index if kind.class_specific else None
-            cache[key] = evaluate(m, kind, ci).value
-        return cache[key]
-
-    total = concordant = excluded = 0
-    for first, second in pairs:
-        vals = (val(first, kind_a), val(second, kind_a),
-                val(first, kind_b), val(second, kind_b))
-        if any(v is None for v in vals):
-            excluded += 1
-            continue
-        total += 1
-        if (_verdict(vals[0], vals[1], tie_tolerance)
-                == _verdict(vals[2], vals[3], tie_tolerance)):
-            concordant += 1
-    return ConcordanceResult(kind_a=kind_a, kind_b=kind_b, total=total,
-                             concordant=concordant, excluded=excluded)
+    matrices, index = _index_pairs(pairs)
+    va, da = _verdicts(kind_a, matrices, index, class_index, tie_tolerance)
+    vb, db = _verdicts(kind_b, matrices, index, class_index, tie_tolerance)
+    both = da & db
+    total = int(both.sum())
+    return ConcordanceResult(
+        kind_a=kind_a, kind_b=kind_b, total=total,
+        concordant=int((va == vb)[both].sum()),
+        excluded=index.shape[1] - total,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,7 +274,10 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 
     Kinds land in the same group when their pairwise concordance fraction is
     exactly 1.0; the relation is closed transitively. A single kind forms its
-    own group without needing any pairs.
+    own group without needing any pairs. ``pairs`` is any iterable of
+    (first, second) tuples, generators included; each kind is evaluated once
+    per distinct matrix, and the verdict vectors of two kinds are compared
+    where both are defined.
     """
     kinds = list(dict.fromkeys(kinds))
     if not kinds:
@@ -258,6 +286,16 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
     pairs = list(pairs)
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
+    matrices, index = _index_pairs(pairs)
+
+    verdicts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def verdict_of(ix: int) -> tuple[np.ndarray, np.ndarray]:
+        # computed on first use, so errors surface in kind-pair order
+        if ix not in verdicts:
+            verdicts[ix] = _verdicts(kinds[ix], matrices, index, class_index,
+                                     tie_tolerance)
+        return verdicts[ix]
 
     parent = list(range(len(kinds)))
 
@@ -269,16 +307,16 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 
     for ia in range(len(kinds)):
         for ib in range(ia + 1, len(kinds)):
-            res = consistency(kinds[ia], kinds[ib], pairs,
-                              class_index=class_index,
-                              tie_tolerance=tie_tolerance)
-            if res.total == 0:
+            va, da = verdict_of(ia)
+            vb, db = verdict_of(ib)
+            both = da & db
+            if not both.any():
                 raise InsufficientData(
                     f"no comparable pairs for {kinds[ia].short_name} vs "
                     f"{kinds[ib].short_name}",
                     parameter="pairs", value=len(pairs),
                 )
-            if res.fraction == 1.0:
+            if (va == vb)[both].all():
                 parent[find(ia)] = find(ib)
 
     grouped: dict[int, list[MeasureKind]] = {}

@@ -6,6 +6,10 @@ exists, so CLI callers get a machine-usable report on stderr.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 
 class ConfmeasuresError(Exception):
     """Base class for all package errors."""
@@ -20,8 +24,26 @@ class ConfmeasuresError(Exception):
         out = {"error": type(self).__name__, "message": self.message}
         if self.parameter is not None:
             out["parameter"] = self.parameter
-            out["value"] = repr(self.value)
+            out["value"] = _json_value(self.value)
         return out
+
+
+def _json_value(v):
+    """``v`` as a JSON-native value that strict JSON can carry.
+
+    Numpy scalars and arrays become Python numbers and lists, tuples become
+    lists, and non-finite floats the strings "nan", "inf" and "-inf".
+    Anything else falls back to its ``repr``.
+    """
+    if isinstance(v, (np.generic, np.ndarray)):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    return repr(v)
 
 
 class InvalidInput(ConfmeasuresError):

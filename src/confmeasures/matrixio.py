@@ -156,8 +156,13 @@ def line_csv_text(line: DiscriminationLine) -> str:
 
 def parse_line_csv(path) -> list[LineRow]:
     """Read back a discrimination-line CSV written by ``write_line_csv``."""
+    try:
+        fh = pathlib.Path(path).open(newline="")
+    except OSError as exc:
+        raise InvalidInput(f"cannot read input file {path}: {exc.strerror}",
+                           parameter="input", value=str(path)) from exc
     rows = []
-    with pathlib.Path(path).open(newline="") as fh:
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != [
@@ -173,6 +178,15 @@ def parse_line_csv(path) -> list[LineRow]:
                 raise InvalidInput(f"row {r}: expected 4 columns",
                                    parameter="input", value=str(path))
             c_x, c_y, crossing, pref = (t.strip() for t in record)
+            if not _is_number(c_x):
+                raise _cell_error(path, r, 1, "not a number", c_x)
+            if c_y != "" and not _is_number(c_y):
+                raise _cell_error(path, r, 2, "not a number", c_y)
+            if crossing not in ("0", "1"):
+                raise _cell_error(path, r, 3, "crossing must be 0 or 1",
+                                  crossing)
+            if pref != "na" and pref not in _PREFERENCES:
+                raise _cell_error(path, r, 4, "not a preference", pref)
             rows.append(LineRow(
                 c_x=float(c_x),
                 c_y=None if c_y == "" else float(c_y),
@@ -180,3 +194,11 @@ def parse_line_csv(path) -> list[LineRow]:
                 preference=None if pref == "na" else Preference(pref),
             ))
     return rows
+
+
+_PREFERENCES = {p.value for p in Preference}
+
+
+def _cell_error(path, r: int, c: int, what: str, tok: str) -> InvalidInput:
+    return InvalidInput(f"{path}: row {r}, column {c}: {what}: {tok!r}",
+                        parameter=f"cell({r},{c})", value=tok)

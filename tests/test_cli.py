@@ -63,6 +63,19 @@ class TestMeasureCommand:
         assert err["parameter"] == "input"
 
 
+    def test_non_finite_cell_error_is_strict_json(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("0.5,nan\n0.0,0.5\n")
+        assert main(["measure", "--input", str(p)]) == 2
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        err = json.loads(capsys.readouterr().err, parse_constant=reject)
+        assert err["error"] == "InvalidInput"
+        assert err["value"] == "nan"
+
+
 class TestGenerateCommand:
     def test_bundle_layout(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -242,6 +255,37 @@ class TestPlotCommand:
         svg = tmp_path / "plot.svg"
         code = main(["plot", "--input", str(bad), "--svg", str(svg)])
         assert code == 2
+
+    def test_missing_input_fails_with_json_error(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        code = main(["plot", "--input", str(absent),
+                     "--svg", str(tmp_path / "plot.svg")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "input"
+        assert err["value"] == str(absent)
+
+    @pytest.mark.parametrize("record,column,token", [
+        ("abc,,0,second", 1, "abc"),
+        ("0.5,x1,1,tie", 2, "x1"),
+        ("0.5,,yes,second", 3, "yes"),
+        ("0.5,,0,winner", 4, "winner"),
+    ])
+    def test_bad_token_names_row_and_column(self, tmp_path, capsys, record,
+                                            column, token):
+        line_csv = self.make_line_csv(tmp_path, "osr.csv", "osr")
+        rows = line_csv.read_text().splitlines()
+        rows[3] = record
+        line_csv.write_text("\n".join(rows) + "\n")
+        code = main(["plot", "--input", str(line_csv),
+                     "--svg", str(tmp_path / "plot.svg")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == f"cell(4,{column})"
+        assert err["value"] == token
+        assert str(line_csv) in err["message"]
 
 
 class TestGtCommand:

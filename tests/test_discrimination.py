@@ -1,7 +1,11 @@
 """Tests for discrimination lines, concordance, and equivalence grouping."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confmeasures import (
     ConfusionMatrix,
@@ -10,6 +14,7 @@ from confmeasures import (
     NotComparable,
 )
 from confmeasures.discrimination import (
+    TIE_TOLERANCE,
     ConcordanceResult,
     Preference,
     consistency,
@@ -301,3 +306,130 @@ class TestSeriesPairs:
     def test_respects_explicit_grid(self):
         pairs = series_pairs(k=4, p=1.0, grid=(0.5, 1.0))
         assert len(pairs) == 4
+
+
+def fresh_series_pairs(k, p, grid):
+    """Series pairs built on the fly; each pair is freed once consumed."""
+    pi = class_proportions(k, p)
+    for c_x in grid:
+        for c_y in grid:
+            yield (series_matrix(pi, c_x, SeriesMode.ALL_CLASSES),
+                   series_matrix(pi, c_y, SeriesMode.FIRST_CLASS_ONLY))
+
+
+class TestPairsFromGenerator:
+    """Results must not depend on object identity: a generator frees each
+    pair's matrices, and their ids go to the next pair's matrices."""
+
+    GRID = np.linspace(0.0, 1.0, 30)
+
+    def test_consistency_same_from_list_and_generator(self):
+        from_list = consistency(K.OSR, K.COHEN_KAPPA,
+                                list(fresh_series_pairs(3, 0.5, self.GRID)))
+        from_gen = consistency(K.OSR, K.COHEN_KAPPA,
+                               fresh_series_pairs(3, 0.5, self.GRID))
+        for res in (from_list, from_gen):
+            assert (res.total, res.concordant, res.excluded) == (900, 888, 0)
+
+    def test_equivalence_classes_from_generator(self):
+        part = equivalence_classes([K.OSR, K.COHEN_KAPPA],
+                                   fresh_series_pairs(3, 0.5, self.GRID))
+        assert part.groups == ((K.OSR,), (K.COHEN_KAPPA,))
+        assert part.pairs_compared == 900
+
+
+def brute_consistency(kind_a, kind_b, pairs, class_index):
+    """(total, concordant, excluded) by evaluating every pair afresh."""
+    def value(m, kind):
+        ci = class_index if kind.class_specific else None
+        return evaluate(m, kind, ci).value
+
+    def verdict(x, y):
+        return (x > y + TIE_TOLERANCE) - (y > x + TIE_TOLERANCE)
+
+    total = concordant = excluded = 0
+    for first, second in pairs:
+        vals = [value(first, kind_a), value(second, kind_a),
+                value(first, kind_b), value(second, kind_b)]
+        if any(v is None for v in vals):
+            excluded += 1
+            continue
+        total += 1
+        concordant += verdict(*vals[:2]) == verdict(*vals[2:])
+    return total, concordant, excluded
+
+
+def brute_partition(kinds, pairs, class_index):
+    """Groups in first-appearance order, or None for no comparable pairs."""
+    groups = [[kind] for kind in kinds]
+    for kind_a, kind_b in itertools.combinations(kinds, 2):
+        total, concordant, _ = brute_consistency(kind_a, kind_b, pairs,
+                                                 class_index)
+        if total == 0:
+            return None
+        if concordant == total:
+            ga = next(g for g in groups if kind_a in g)
+            gb = next(g for g in groups if kind_b in g)
+            if ga is not gb:
+                groups.remove(gb)
+                ga.extend(gb)
+    ordered = [sorted(g, key=kinds.index) for g in groups]
+    ordered.sort(key=lambda g: kinds.index(g[0]))
+    return tuple(tuple(g) for g in ordered)
+
+
+# small integer counts make ties and equal values across matrices common
+count_cells = st.lists(st.integers(min_value=0, max_value=3),
+                       min_size=9, max_size=9)
+
+
+@st.composite
+def pair_lists(draw):
+    """Pairs over a small pool: shared objects, equal-cell copies, and
+    matrices whose first row is empty (PPV of class 1 undefined)."""
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        counts = np.array(draw(count_cells), dtype=float).reshape(3, 3)
+        if draw(st.booleans()):
+            counts[0] = 0.0
+        if counts.sum() == 0:
+            counts[1, 1] = 1.0
+        m = ConfusionMatrix(counts / counts.sum())
+        pool.append(m)
+        if draw(st.booleans()):
+            pool.append(ConfusionMatrix(np.array(m.cells)))
+    slot = st.integers(min_value=0, max_value=len(pool) - 1)
+    index = draw(st.lists(st.tuples(slot, slot), max_size=8))
+    return [(pool[a], pool[b]) for a, b in index]
+
+
+PROPERTY_KINDS = [K.OSR, K.COHEN_KAPPA, K.CSI, K.PPV, K.TPR, K.F_MEASURE,
+                  K.JCC, K.NPV]
+
+
+class TestAgainstPerPairLoop:
+    @given(pair_lists(), st.sampled_from(PROPERTY_KINDS),
+           st.sampled_from(PROPERTY_KINDS), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_consistency(self, pairs, kind_a, kind_b, as_generator):
+        res = consistency(kind_a, kind_b,
+                          iter(pairs) if as_generator else pairs,
+                          class_index=1)
+        assert ((res.total, res.concordant, res.excluded)
+                == brute_consistency(kind_a, kind_b, pairs, 1))
+
+    @given(pair_lists(),
+           st.lists(st.sampled_from(PROPERTY_KINDS), min_size=2, max_size=5,
+                    unique=True),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equivalence_classes(self, pairs, kinds, as_generator):
+        expected = brute_partition(kinds, pairs, 1)
+        source = iter(pairs) if as_generator else pairs
+        if expected is None:
+            with pytest.raises(InsufficientData):
+                equivalence_classes(kinds, source, class_index=1)
+            return
+        part = equivalence_classes(kinds, source, class_index=1)
+        assert part.groups == expected
+        assert part.pairs_compared == len(pairs)
