@@ -58,6 +58,7 @@ from .measures import (
     chance_expectation,
     class_measure,
     evaluate,
+    evaluate_stack,
     overall_measure,
     parse_kind,
     report,
@@ -72,6 +73,7 @@ from .series import (
     controlled_matrix,
     make_series,
     series_matrix,
+    series_stack,
     uniform_grid,
 )
 
@@ -86,8 +88,9 @@ __all__ = [
     "TooFewClasses", "WeightMatrix", "agreement", "apply_weights", "binarize",
     "chance_expectation", "class_counts", "class_measure", "class_proportions",
     "consistency", "controlled_matrix", "discrimination_line",
-    "equivalence_classes", "evaluate", "fit_quasi_independence", "from_counts",
-    "gt_index", "make_series", "marginals", "overall_measure", "parse_kind",
-    "preference", "report", "round_half_up", "series_matrix", "series_pairs",
+    "equivalence_classes", "evaluate", "evaluate_stack",
+    "fit_quasi_independence", "from_counts", "gt_index", "make_series",
+    "marginals", "overall_measure", "parse_kind", "preference", "report",
+    "round_half_up", "series_matrix", "series_pairs", "series_stack",
     "uniform_grid", "value_range",
 ]

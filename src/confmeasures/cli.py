@@ -113,19 +113,32 @@ def _load_matrix(args) -> "ConfusionMatrix":
     return parse_matrix(doc)
 
 
+def _write(path, write, parameter: str) -> None:
+    """Run ``write(path)``; an OS error names the parameter and the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}",
+                           parameter=parameter, value=str(path)) from exc
+
+
+def _write_text(path, text: str) -> None:
+    _write(path, lambda target: pathlib.Path(target).write_text(text), "output")
+
+
 def cmd_measure(args) -> int:
     rep = report(_load_matrix(args))
     print(rep.to_text())
     if args.output:
-        pathlib.Path(args.output).write_text(
-            json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        _write_text(args.output, json.dumps(rep.to_json_dict(), indent=2) + "\n")
     return 0
 
 
 def cmd_generate(args) -> int:
     grid = uniform_grid(step=args.grid_step, c_lo=args.c_lo)
     out = pathlib.Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    _write(out, lambda target: target.mkdir(parents=True, exist_ok=True),
+           "output")
     index_rows = ["series,index,c,path"]
     for name, mode in (("x", SeriesMode.ALL_CLASSES),
                        ("y", SeriesMode.FIRST_CLASS_ONLY)):
@@ -133,9 +146,10 @@ def cmd_generate(args) -> int:
                           c_lo=args.c_lo)
         for ix, m in enumerate(make_series(spec)):
             rel = f"{name}_{ix:04d}.csv"
-            write_matrix_csv(m, out / rel)
+            _write(out / rel, lambda target: write_matrix_csv(m, target),
+                   "output")
             index_rows.append(f"{name},{ix},{fmt(grid[ix])},{rel}")
-    (out / "index.csv").write_text("\n".join(index_rows) + "\n")
+    _write_text(out / "index.csv", "\n".join(index_rows) + "\n")
     return 0
 
 
@@ -146,7 +160,7 @@ def cmd_discriminate(args) -> int:
                                grid_step=args.grid_step, c_lo=args.c_lo)
     text = line_csv_text(line)
     if args.output:
-        pathlib.Path(args.output).write_text(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -169,7 +183,7 @@ def cmd_equivalence(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
-        pathlib.Path(args.output).write_text(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -184,7 +198,7 @@ def cmd_plot(args) -> int:
         rows = parse_line_csv(path)
         lines.append(PlotLine(label=pathlib.Path(path).stem, rows=tuple(rows)))
     doc = PlotDocument(title="Discrimination lines", lines=tuple(lines))
-    write_svg(doc, args.svg)
+    _write(args.svg, lambda target: write_svg(doc, target), "svg")
     return 0
 
 
@@ -206,7 +220,7 @@ def cmd_gt(args) -> int:
             "iterations": fit.iterations,
             "residual": fit.residual,
         }
-        pathlib.Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
 
 

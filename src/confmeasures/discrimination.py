@@ -21,19 +21,21 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidInput, NotComparable
 from .matrix import ConfusionMatrix
-from .measures import MeasureKind, evaluate
+from .measures import MeasureKind, evaluate, evaluate_stack
 from .series import (
     ProportionVector,
     SeriesMode,
     class_proportions,
     series_matrix,
+    series_stack,
     uniform_grid,
 )
 
 TIE_TOLERANCE = 1e-12
-SOLVER_TOLERANCE = 1e-9
 _SCAN_SAMPLES = 32
 _BISECT_ITERATIONS = 60
+# cells per stack: a line over a grid of large matrices is solved in chunks
+_STACK_CELLS = 1 << 20
 
 
 class Preference(enum.Enum):
@@ -98,84 +100,123 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
                         class_index: int | None = None,
                         grid_step: float = 0.01, c_lo: float = 0.0,
                         grid=None,
-                        solver_tolerance: float = SOLVER_TOLERANCE,
                         tie_tolerance: float = TIE_TOLERANCE,
                         ) -> DiscriminationLine:
     """Solve measure(second series at c_y) = measure(first series at c_x)
-    for every c_x on the grid, by bisection over c_y in [c_lo, 1]."""
+    for every c_x on the grid, by bisection over c_y in [c_lo, 1].
+
+    The line is solved on stacks of series members, not one matrix at a
+    time. The targets, the measure on the first series at every c_x, are one
+    stack. The second series is scanned at 32 points over [c_lo, 1] once per
+    line, since the scan does not depend on c_x. A row whose scan stays more
+    than ``tie_tolerance`` on one side of its target has no crossing;
+    otherwise its first sign change in scan order is bisected for 60 steps,
+    every such row in the same stacked probe. A row has no verdict where its
+    target, a scan point or one of its probes is undefined.
+    """
     if kind.class_specific and class_index is None:
         raise InvalidInput(f"{kind.short_name} needs a class index",
                            parameter="class_index", value=None)
     pi = class_proportions(k, p)
     if grid is None:
         grid = uniform_grid(step=grid_step, c_lo=c_lo)
+    grid = list(grid)
 
-    def measure_on(mode: SeriesMode, c: float) -> float | None:
-        return evaluate(series_matrix(pi, c, mode), kind, class_index).value
+    def measure_on(mode: SeriesMode, c) -> tuple[np.ndarray, np.ndarray]:
+        c = np.asarray(c, dtype=float)
+        step = max(1, _STACK_CELLS // pi.k ** 2)
+        parts = [evaluate_stack(series_stack(pi, c[i:i + step], mode), kind,
+                                class_index)
+                 for i in range(0, max(c.size, 1), step)]
+        return (np.concatenate([v for v, _ in parts]),
+                np.concatenate([d for _, d in parts]))
 
-    rows = []
-    for c_x in grid:
-        target = measure_on(SeriesMode.ALL_CLASSES, c_x)
-        if target is None:
-            rows.append(LineRow(c_x, None, False, None))
-            continue
-        rows.append(_solve_row(c_x, target, measure_on, c_lo,
-                               tie_tolerance))
+    rows = [LineRow(c_x, None, False, None) for c_x in grid]
+    targets, has_target = measure_on(SeriesMode.ALL_CLASSES, grid)
+    if has_target.any():
+        samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
+        scan, scan_defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
+        if scan_defined.all():
+            solved = np.flatnonzero(has_target)
+            for r, row in zip(solved.tolist(),
+                              _solve_rows(targets[solved], samples, scan,
+                                          measure_on, c_lo, tie_tolerance,
+                                          [grid[r] for r in solved])):
+                rows[r] = row
     return DiscriminationLine(kind=kind, class_index=class_index, k=k, p=p,
                               c_lo=c_lo, rows=tuple(rows))
 
 
-def _solve_row(c_x, target, measure_on, c_lo, tie_tol) -> LineRow:
-    def g(c_y: float) -> float | None:
-        v = measure_on(SeriesMode.FIRST_CLASS_ONLY, c_y)
-        return None if v is None else v - target
+def _solve_rows(targets, samples, scan, measure_on, c_lo, tie_tol, c_xs,
+                ) -> list[LineRow]:
+    """Rows of the c_x values ``c_xs`` whose targets and scan are defined."""
+    values = scan[None, :] - targets[:, None]  # g(sample) per row
+    tie = np.abs(values).max(axis=1) <= tie_tol
+    second = ~tie & (values.min(axis=1) > tie_tol)
+    first = ~tie & ~second & (values.max(axis=1) < -tie_tol)
+    # first sign change in scan order, an exact zero included
+    change = ((values[:, :-1] == 0.0)
+              | (values[:, :-1] * values[:, 1:] <= 0.0))
+    idx = change.argmax(axis=1)
+    g_lo = values[np.arange(len(values)), idx]
+    undecided = ~(tie | second | first)
+    bracket = undecided & change.any(axis=1) & (g_lo != 0.0)
+    roots = _bisect_rows(np.flatnonzero(bracket), samples[idx], samples[idx + 1],
+                         g_lo, targets, measure_on)
 
-    # sign pre-scan: finds the bracket and guards against non-monotone shapes
-    samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
-    values = []
-    for s in samples:
-        gv = g(float(s))
-        if gv is None:
-            return LineRow(c_x, None, False, None)
-        values.append(gv)
-    values = np.asarray(values)
-
-    if np.abs(values).max() <= tie_tol:
-        # both series hit the target everywhere; the tie holds at c_x itself
-        return LineRow(c_x, min(max(c_x, c_lo), 1.0), True, Preference.TIE)
-    if values.min() > tie_tol:
-        return LineRow(c_x, None, False, Preference.SECOND)
-    if values.max() < -tie_tol:
-        return LineRow(c_x, None, False, Preference.FIRST)
-
-    for idx in range(len(samples) - 1):
-        if values[idx] == 0.0:
-            return LineRow(c_x, float(samples[idx]), True, Preference.TIE)
-        if values[idx] * values[idx + 1] <= 0.0:
-            root = _bisect(g, float(samples[idx]), float(samples[idx + 1]),
-                           values[idx])
-            if root is None:
-                return LineRow(c_x, None, False, None)
-            return LineRow(c_x, root, True, Preference.TIE)
-    # sign pattern inconsistent with a zero (numeric noise around the tolerance)
-    side = Preference.SECOND if values.mean() > 0 else Preference.FIRST
-    return LineRow(c_x, None, False, side)
-
-
-def _bisect(g, lo: float, hi: float, g_lo: float) -> float | None:
-    """First-sign-change bisection; assumes g(lo) and g(hi) straddle zero."""
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm is None:
-            return None
-        if gm == 0.0:
-            return mid
-        if (gm < 0) == (g_lo < 0):
-            lo = mid
+    out = []
+    for r, c_x in enumerate(c_xs):
+        if tie[r]:
+            # both series hit the target everywhere; the tie holds at c_x itself
+            out.append(LineRow(c_x, min(max(c_x, c_lo), 1.0), True,
+                               Preference.TIE))
+        elif second[r]:
+            out.append(LineRow(c_x, None, False, Preference.SECOND))
+        elif first[r]:
+            out.append(LineRow(c_x, None, False, Preference.FIRST))
+        elif not change[r].any():
+            # sign pattern inconsistent with a zero (numeric noise around the
+            # tolerance)
+            side = (Preference.SECOND if values[r].mean() > 0
+                    else Preference.FIRST)
+            out.append(LineRow(c_x, None, False, side))
+        elif not bracket[r]:
+            out.append(LineRow(c_x, float(samples[idx[r]]), True, Preference.TIE))
+        elif roots[r] is None:
+            out.append(LineRow(c_x, None, False, None))
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            out.append(LineRow(c_x, roots[r], True, Preference.TIE))
+    return out
+
+
+def _bisect_rows(active, lo, hi, g_lo, targets, measure_on) -> dict:
+    """First-sign-change bisection of the rows ``active``, all at once.
+
+    ``lo``, ``hi`` and ``g_lo`` hold each row's bracket and g(lo). Returns
+    the root of each active row, or None where a probe was undefined.
+    """
+    roots: dict[int, float | None] = {}
+    lo, hi, g_lo, target = lo[active], hi[active], g_lo[active], targets[active]
+    for _ in range(_BISECT_ITERATIONS):
+        if not active.size:
+            break
+        mid = 0.5 * (lo + hi)
+        value, defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, mid)
+        gm = value - target
+        zero = defined & (gm == 0.0)
+        for r in active[~defined].tolist():
+            roots[r] = None
+        for r, m in zip(active[zero].tolist(), mid[zero].tolist()):
+            roots[r] = m
+        same = (gm < 0) == (g_lo < 0)
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+        keep = defined & ~zero
+        active, lo, hi, g_lo, target = (active[keep], lo[keep], hi[keep],
+                                        g_lo[keep], target[keep])
+    for r, m in zip(active.tolist(), (0.5 * (lo + hi)).tolist()):
+        roots[r] = m
+    return roots
 
 
 @dataclasses.dataclass(frozen=True)

@@ -60,6 +60,18 @@ class ConfusionMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
+    @staticmethod
+    def check_stack(cells: np.ndarray) -> None:
+        """Run the checks of the constructor on every member of an
+        ``(n, k, k)`` stack of cells; the first bad member raises the error
+        its constructor raises."""
+        n, k = cells.shape[0], cells.shape[-1]
+        flat = cells.reshape(n, k * k)
+        bad = (~np.isfinite(flat).all(axis=1) | (flat < 0).any(axis=1)
+               | (np.abs(flat.sum(axis=1) - 1.0) > SUM_TOLERANCE))
+        if bad.any():
+            ConfusionMatrix(cells[int(bad.argmax())])
+
     @classmethod
     def from_cells(cls, cells, normalize: bool = False) -> "ConfusionMatrix":
         """Build from a proportion grid; ``normalize`` rescales to unit sum."""
@@ -157,12 +169,12 @@ def marginals(m: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m.row_sums(), m.col_sums()
 
 
-def _check_class_index(m: ConfusionMatrix, i: int) -> int:
+def _check_class_index(k: int, i: int) -> int:
     if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
         raise InvalidInput("class index must be an integer",
                            parameter="class_index", value=i)
-    if not 1 <= i <= m.k:
-        raise InvalidInput(f"class index must be in 1..{m.k}",
+    if not 1 <= i <= k:
+        raise InvalidInput(f"class index must be in 1..{k}",
                            parameter="class_index", value=i)
     return int(i) - 1
 
@@ -173,7 +185,7 @@ def class_counts(m: ConfusionMatrix, i: int) -> BinaryCounts:
     tp = p_ii, fn = column sum minus tp, fp = row sum minus tp, tn = the rest.
     Tiny negative residues from float summation are clamped to 0.
     """
-    ix = _check_class_index(m, i)
+    ix = _check_class_index(m.k, i)
     tp = float(m.cells[ix, ix])
     fn = float(m.col_sums()[ix] - tp)
     fp = float(m.row_sums()[ix] - tp)

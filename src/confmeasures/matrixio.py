@@ -63,9 +63,32 @@ def parse_matrix(doc: MatrixDocument) -> ConfusionMatrix:
     return ConfusionMatrix(arr)
 
 
+def _unreadable(path, exc: Exception) -> InvalidInput:
+    """The error for an input file that cannot be read as text."""
+    if isinstance(exc, UnicodeDecodeError):
+        why = f"not valid text ({exc.reason} at byte {exc.start})"
+    else:
+        why = getattr(exc, "strerror", None) or str(exc)
+    return InvalidInput(f"cannot read input file {path}: {why}",
+                        parameter="input", value=str(path))
+
+
+def _read_records(path) -> list[list[str]]:
+    """The CSV records of ``path``; an unreadable file is InvalidInput."""
+    try:
+        with pathlib.Path(path).open(newline="") as fh:
+            return list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(path, exc) from exc
+
+
 def _load_json(path: pathlib.Path):
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"invalid JSON in {path}: {exc}", parameter="input",
                            value=str(path)) from exc
@@ -94,23 +117,22 @@ def _load_json(path: pathlib.Path):
 
 def _load_csv(path: pathlib.Path):
     rows = []
-    with path.open(newline="") as fh:
-        for r, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(tok.strip() == "" for tok in record):
-                continue
-            first = record[0].strip()
-            if rows == [] and not _is_number(first):
-                continue  # header line
-            vals = []
-            for c, tok in enumerate(record, start=1):
-                tok = tok.strip()
-                if not _is_number(tok):
-                    raise InvalidInput(
-                        f"row {r}, column {c}: not a number: {tok!r}",
-                        parameter=f"cell({r},{c})", value=tok,
-                    )
-                vals.append(float(tok))
-            rows.append(vals)
+    for r, record in enumerate(_read_records(path), start=1):
+        if not record or all(tok.strip() == "" for tok in record):
+            continue
+        first = record[0].strip()
+        if rows == [] and not _is_number(first):
+            continue  # header line
+        vals = []
+        for c, tok in enumerate(record, start=1):
+            tok = tok.strip()
+            if not _is_number(tok):
+                raise InvalidInput(
+                    f"row {r}, column {c}: not a number: {tok!r}",
+                    parameter=f"cell({r},{c})", value=tok,
+                )
+            vals.append(float(tok))
+        rows.append(vals)
     if not rows:
         raise InvalidInput(f"no numeric rows in {path}", parameter="input",
                            value=str(path))
@@ -156,43 +178,37 @@ def line_csv_text(line: DiscriminationLine) -> str:
 
 def parse_line_csv(path) -> list[LineRow]:
     """Read back a discrimination-line CSV written by ``write_line_csv``."""
-    try:
-        fh = pathlib.Path(path).open(newline="")
-    except OSError as exc:
-        raise InvalidInput(f"cannot read input file {path}: {exc.strerror}",
-                           parameter="input", value=str(path)) from exc
+    reader = iter(_read_records(path))
     rows = []
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-                "c_x", "c_y", "crossing", "preference"]:
-            raise InvalidInput(
-                f"not a discrimination-line CSV (bad header): {path}",
-                parameter="input", value=str(path),
-            )
-        for r, record in enumerate(reader, start=2):
-            if not record or all(t.strip() == "" for t in record):
-                continue
-            if len(record) != 4:
-                raise InvalidInput(f"row {r}: expected 4 columns",
-                                   parameter="input", value=str(path))
-            c_x, c_y, crossing, pref = (t.strip() for t in record)
-            if not _is_number(c_x):
-                raise _cell_error(path, r, 1, "not a number", c_x)
-            if c_y != "" and not _is_number(c_y):
-                raise _cell_error(path, r, 2, "not a number", c_y)
-            if crossing not in ("0", "1"):
-                raise _cell_error(path, r, 3, "crossing must be 0 or 1",
-                                  crossing)
-            if pref != "na" and pref not in _PREFERENCES:
-                raise _cell_error(path, r, 4, "not a preference", pref)
-            rows.append(LineRow(
-                c_x=float(c_x),
-                c_y=None if c_y == "" else float(c_y),
-                crossing=crossing == "1",
-                preference=None if pref == "na" else Preference(pref),
-            ))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != [
+            "c_x", "c_y", "crossing", "preference"]:
+        raise InvalidInput(
+            f"not a discrimination-line CSV (bad header): {path}",
+            parameter="input", value=str(path),
+        )
+    for r, record in enumerate(reader, start=2):
+        if not record or all(t.strip() == "" for t in record):
+            continue
+        if len(record) != 4:
+            raise InvalidInput(f"row {r}: expected 4 columns",
+                               parameter="input", value=str(path))
+        c_x, c_y, crossing, pref = (t.strip() for t in record)
+        if not _is_number(c_x):
+            raise _cell_error(path, r, 1, "not a number", c_x)
+        if c_y != "" and not _is_number(c_y):
+            raise _cell_error(path, r, 2, "not a number", c_y)
+        if crossing not in ("0", "1"):
+            raise _cell_error(path, r, 3, "crossing must be 0 or 1",
+                              crossing)
+        if pref != "na" and pref not in _PREFERENCES:
+            raise _cell_error(path, r, 4, "not a preference", pref)
+        rows.append(LineRow(
+            c_x=float(c_x),
+            c_y=None if c_y == "" else float(c_y),
+            crossing=crossing == "1",
+            preference=None if pref == "na" else Preference(pref),
+        ))
     return rows
 
 

@@ -15,7 +15,8 @@ chance-corrected agreement family A = (Po - Pe) / (1 - Pe) with Po the trace
 and Pe the chance term of the respective coefficient (CKC, SPC, MRE).
 
 A 0/0 ratio is an explicit Undefined outcome, carried as ``value=None``; it is
-never silently reported as 0 or NaN.
+never silently reported as 0 or NaN. ``evaluate_stack`` evaluates one kind on
+an ``(n, k, k)`` stack of matrices and carries Undefined as a boolean mask.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ import numpy as np
 
 from . import gt
 from .errors import ConfmeasuresError, DegenerateChance, InvalidInput
-from .matrix import BinaryCounts, ConfusionMatrix, class_counts
+from .matrix import (
+    BinaryCounts,
+    ConfusionMatrix,
+    _check_class_index,
+    class_counts,
+)
 
 
 class MeasureKind(enum.Enum):
@@ -165,40 +171,54 @@ def chance_expectation(m: ConfusionMatrix, kind: MeasureKind) -> float:
                        parameter="kind", value=kind.short_name)
 
 
-def _ratio(num: float, den: float) -> float | None:
-    return None if den == 0 else num / den
+def _tpr(tp, fp, fn, tn):
+    return tp, tp + fn
+
+
+def _tnr(tp, fp, fn, tn):
+    return tn, tn + fp
+
+
+def _ppv(tp, fp, fn, tn):
+    return tp, tp + fp
+
+
+# Per-class ratio measures: kind -> (ratios, combination). A ratio maps the
+# one-vs-rest counts (tp, fp, fn, tn) to (numerator, denominator); the
+# combination maps the ratio values to the measure, which is undefined where
+# a ratio is 0/0. The scalar path applies them to floats, evaluate_stack to
+# arrays.
+_CLASS_FORMULAS = {
+    MeasureKind.TPR: ((_tpr,), None),
+    MeasureKind.TNR: ((_tnr,), None),
+    MeasureKind.PPV: ((_ppv,), None),
+    MeasureKind.NPV: ((lambda tp, fp, fn, tn: (tn, tn + fn),), None),
+    MeasureKind.FPR: ((_tnr,), lambda tnr: 1.0 - tnr),
+    MeasureKind.F_MEASURE: ((lambda tp, fp, fn, tn: (2 * tp, 2 * tp + fn + fp),),
+                            None),
+    MeasureKind.JCC: ((lambda tp, fp, fn, tn: (tp, tp + fp + fn),), None),
+    MeasureKind.ICSI: ((_ppv, _tpr), lambda ppv, tpr: ppv + tpr - 1.0),
+    MeasureKind.KULCZYNSKI: ((_ppv, _tpr), lambda ppv, tpr: (ppv + tpr) / 2.0),
+}
+
+
+def _class_formula(kind: MeasureKind) -> tuple:
+    formula = _CLASS_FORMULAS.get(kind)
+    if formula is None:
+        raise InvalidInput(f"{kind.short_name} is not a per-class ratio measure",
+                           parameter="kind", value=kind.short_name)
+    return formula
 
 
 def _class_value(c: BinaryCounts, kind: MeasureKind) -> float | None:
-    if kind == MeasureKind.TPR:
-        return _ratio(c.tp, c.tp + c.fn)
-    if kind == MeasureKind.TNR:
-        return _ratio(c.tn, c.tn + c.fp)
-    if kind == MeasureKind.PPV:
-        return _ratio(c.tp, c.tp + c.fp)
-    if kind == MeasureKind.NPV:
-        return _ratio(c.tn, c.tn + c.fn)
-    if kind == MeasureKind.FPR:
-        tnr = _ratio(c.tn, c.tn + c.fp)
-        return None if tnr is None else 1.0 - tnr
-    if kind == MeasureKind.F_MEASURE:
-        return _ratio(2 * c.tp, 2 * c.tp + c.fn + c.fp)
-    if kind == MeasureKind.JCC:
-        return _ratio(c.tp, c.tp + c.fp + c.fn)
-    if kind == MeasureKind.ICSI:
-        tpr = _ratio(c.tp, c.tp + c.fn)
-        ppv = _ratio(c.tp, c.tp + c.fp)
-        if tpr is None or ppv is None:
+    ratios, combine = _class_formula(kind)
+    parts = []
+    for ratio in ratios:
+        num, den = ratio(c.tp, c.fp, c.fn, c.tn)
+        if den == 0:
             return None
-        return ppv + tpr - 1.0
-    if kind == MeasureKind.KULCZYNSKI:
-        tpr = _ratio(c.tp, c.tp + c.fn)
-        ppv = _ratio(c.tp, c.tp + c.fp)
-        if tpr is None or ppv is None:
-            return None
-        return (ppv + tpr) / 2.0
-    raise InvalidInput(f"{kind.short_name} is not a per-class ratio measure",
-                       parameter="kind", value=kind.short_name)
+        parts.append(num / den)
+    return parts[0] if combine is None else combine(*parts)
 
 
 def class_measure(m: ConfusionMatrix, i: int, kind: MeasureKind) -> MeasureValue:
@@ -234,6 +254,20 @@ def overall_measure(m: ConfusionMatrix, kind: MeasureKind) -> MeasureValue:
                        parameter="kind", value=kind.short_name)
 
 
+def _class_specific(kind: MeasureKind, class_index: int | None) -> bool:
+    """Whether ``kind`` is class-specific, once ``class_index`` is checked
+    to be given exactly when it is."""
+    if kind.class_specific:
+        if class_index is None:
+            raise InvalidInput(f"{kind.short_name} needs a class index",
+                               parameter="class_index", value=None)
+        return True
+    if class_index is not None:
+        raise InvalidInput(f"{kind.short_name} is multiclass; drop the class index",
+                           parameter="class_index", value=class_index)
+    return False
+
+
 def evaluate(m: ConfusionMatrix, kind: MeasureKind,
              class_index: int | None = None) -> MeasureValue:
     """Uniform dispatcher over every cataloged kind.
@@ -241,16 +275,10 @@ def evaluate(m: ConfusionMatrix, kind: MeasureKind,
     Class-specific kinds need ``class_index``; the GT index routes through the
     quasi-independence fit and maps fit failures to Undefined.
     """
-    if kind.class_specific:
-        if class_index is None:
-            raise InvalidInput(f"{kind.short_name} needs a class index",
-                               parameter="class_index", value=None)
+    if _class_specific(kind, class_index):
         if kind == MeasureKind.GT_INDEX:
             return _gt_value(m, class_index)
         return class_measure(m, class_index, kind)
-    if class_index is not None:
-        raise InvalidInput(f"{kind.short_name} is multiclass; drop the class index",
-                           parameter="class_index", value=class_index)
     try:
         return overall_measure(m, kind)
     except DegenerateChance:
@@ -258,14 +286,99 @@ def evaluate(m: ConfusionMatrix, kind: MeasureKind,
 
 
 def _gt_value(m: ConfusionMatrix, class_index: int) -> MeasureValue:
-    from .matrix import _check_class_index
-    ix = _check_class_index(m, class_index)
+    ix = _check_class_index(m.k, class_index)
     try:
         res = gt.gt_index(m)
     except ConfmeasuresError:
         return MeasureValue(MeasureKind.GT_INDEX, None, class_index=class_index)
     return MeasureValue(MeasureKind.GT_INDEX, res.theta[ix],
                         class_index=class_index)
+
+
+def evaluate_stack(cells: np.ndarray, kind: MeasureKind,
+                   class_index: int | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate`` on every member of an ``(n, k, k)`` stack of valid cells.
+
+    Returns ``(values, defined)``. Where ``defined[i]`` is True, ``values[i]``
+    equals ``evaluate(ConfusionMatrix(cells[i]), kind, class_index).value``
+    bit for bit; where it is False the measure is undefined there and
+    ``values[i]`` means nothing. Arguments are checked, and errors raised, as
+    ``evaluate`` does; the cells are taken as valid and not checked again.
+    The GT index runs one quasi-independence fit per member.
+    """
+    class_specific = _class_specific(kind, class_index)
+    n, k = cells.shape[0], cells.shape[-1]
+    if kind == MeasureKind.GT_INDEX:
+        _check_class_index(k, class_index)
+        theta = [_gt_value(ConfusionMatrix(m), class_index).value for m in cells]
+        defined = np.array([t is not None for t in theta], dtype=bool)
+        values = np.array([0.0 if t is None else t for t in theta], dtype=float)
+        return values, defined
+    rows, cols = cells.sum(axis=2), cells.sum(axis=1)
+    if class_specific:
+        counts = _stack_counts(cells, rows, cols, _check_class_index(k, class_index))
+        return _stack_class_value(counts, kind)
+    po = np.trace(cells, axis1=1, axis2=2)
+    if kind == MeasureKind.OSR:
+        return po, np.ones(n, dtype=bool)
+    if kind == MeasureKind.CSI:
+        total, defined = 0, np.ones(n, dtype=bool)
+        for ix in range(k):
+            counts = _stack_counts(cells, rows, cols, ix, where=defined)
+            icsi, icsi_defined = _stack_class_value(counts, MeasureKind.ICSI)
+            total = total + icsi
+            defined &= icsi_defined
+        return total / k, defined
+    if kind == MeasureKind.COHEN_KAPPA:
+        pe = (rows[:, None, :] @ cols[:, :, None])[:, 0, 0]
+    elif kind == MeasureKind.SCOTT_PI:
+        pe = (cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
+    else:
+        pe = np.full(n, 1.0 / k)
+    bad = ~((0.0 <= po) & (po <= 1.0) & (0.0 <= pe) & (pe <= 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        AgreementDecomposition(po=float(po[i]), pe=float(pe[i]))
+    defined = pe < 1.0
+    return _divide(po - pe, 1.0 - pe, defined), defined
+
+
+def _divide(num: np.ndarray, den: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(den), where=defined)
+
+
+def _stack_counts(cells: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  ix: int, where: np.ndarray | None = None) -> tuple:
+    """(tp, fp, fn, tn) arrays of class ``ix`` (0-based), as ``class_counts``
+    computes them; members in ``where`` are checked as ``BinaryCounts``."""
+    tp = cells[:, ix, ix]
+    fn = cols[:, ix] - tp
+    fp = rows[:, ix] - tp
+    tn = 1.0 - tp - fp - fn
+    tp, fp, fn, tn = (np.where((-1e-12 < v) & (v < 0.0), 0.0, v)
+                      for v in (tp, fp, fn, tn))
+    bad = ((tp < 0) | (fp < 0) | (fn < 0) | (tn < 0)
+           | (np.abs(tp + fp + fn + tn - 1.0) > 1e-9))
+    if where is not None:
+        bad &= where
+    if bad.any():
+        i = int(bad.argmax())
+        BinaryCounts(tp=float(tp[i]), fp=float(fp[i]), fn=float(fn[i]),
+                     tn=float(tn[i]))
+    return tp, fp, fn, tn
+
+
+def _stack_class_value(counts: tuple, kind: MeasureKind,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    ratios, combine = _class_formula(kind)
+    parts, defined = [], np.ones(len(counts[0]), dtype=bool)
+    for ratio in ratios:
+        num, den = ratio(*counts)
+        ok = den != 0
+        parts.append(_divide(num, den, ok))
+        defined &= ok
+    return (parts[0] if combine is None else combine(*parts)), defined
 
 
 _REPORT_ORDER = [

@@ -11,7 +11,11 @@ so column j is (c_j * pi_j on the diagonal, (1 - c_j) / (k - 1) * pi_j off it).
 
 Two one-parameter series are derived from a grid of retention values c:
 ALL_CLASSES erodes every class at rate c; FIRST_CLASS_ONLY erodes only class 1
-and keeps the rest perfect.
+and keeps the rest perfect. ``series_stack`` builds many members of a series
+at once, as an ``(n, k, k)`` array of cells.
+
+The number of classes is at most ``MAX_CLASSES`` (1023): 2^k overflows a
+float at k = 1024.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ import numpy as np
 
 from .errors import InvalidInput
 from .matrix import ConfusionMatrix
+
+MAX_CLASSES = 1023
+# relative slack when a grid step must divide the retention range
+_STEP_TOLERANCE = 1e-9
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -69,9 +77,7 @@ class SeriesSpec:
     c_lo: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise InvalidInput("k must be an integer >= 2", parameter="k",
-                               value=self.k)
+        _check_k(self.k)
         if not 0.0 <= self.p <= 1.0:
             raise InvalidInput("p must be in [0, 1]", parameter="p", value=self.p)
         if not 0.0 <= self.c_lo <= 1.0:
@@ -93,27 +99,63 @@ class SeriesSpec:
         object.__setattr__(self, "grid", grid)
 
 
+def _check_k(k) -> None:
+    if not isinstance(k, int) or k < 2:
+        raise InvalidInput("k must be an integer >= 2", parameter="k", value=k)
+    if k > MAX_CLASSES:
+        raise InvalidInput(f"k must be at most {MAX_CLASSES}", parameter="k",
+                           value=k)
+
+
 def uniform_grid(step: float = 0.01, c_lo: float = 0.0) -> tuple[float, ...]:
-    """Evenly spaced retention grid over [c_lo, 1], endpoints included."""
+    """Evenly spaced retention grid over [c_lo, 1], endpoints included.
+
+    ``step`` must divide ``1 - c_lo`` up to float noise (a relative 1e-9).
+    """
     if not 0 < step <= 1:
         raise InvalidInput("step must be in (0, 1]", parameter="step", value=step)
     if not 0.0 <= c_lo < 1.0:
         raise InvalidInput("c_lo must be in [0, 1)", parameter="c_lo", value=c_lo)
-    n = int(round((1.0 - c_lo) / step))
-    if n < 1:
-        n = 1
+    span = 1.0 - c_lo
+    n = round(span / step)
+    if abs(n * step - span) > _STEP_TOLERANCE * span:
+        raise InvalidInput(f"step must divide the range [{c_lo}, 1]",
+                           parameter="step", value=step)
     return tuple(float(v) for v in np.linspace(c_lo, 1.0, n + 1))
 
 
 def class_proportions(k: int, p: float) -> ProportionVector:
     """Interpolated proportions: balanced at p = 0, halving sequence at p = 1."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInput("k must be an integer >= 2", parameter="k", value=k)
+    _check_k(k)
     if not 0.0 <= p <= 1.0:
         raise InvalidInput("p must be in [0, 1]", parameter="p", value=p)
     i = np.arange(1, k + 1)
     pi = (1.0 - p) / k + p * 2.0 ** (k - i) / (2.0 ** k - 1.0)
     return ProportionVector(pi)
+
+
+def _check_rates(rates: np.ndarray) -> None:
+    """Every retention rate of an ``(n, k)`` array lies in [0, 1]."""
+    # min and max cost less than a mask; a NaN fails them but is no range
+    # error here, it is left to the checks of the cells
+    if rates.size and not 0.0 <= rates.min() <= rates.max() <= 1.0:
+        bad = np.argwhere((rates < 0) | (rates > 1))
+        if bad.size:
+            member, j = bad[0]
+            raise InvalidInput(f"retention rate {j + 1} is outside [0, 1]",
+                               parameter=f"c[{j + 1}]", value=rates[member, j])
+
+
+def _controlled_cells(pi: ProportionVector, rates: np.ndarray) -> np.ndarray:
+    """Cells of the controlled matrices of ``(n, k)`` retention rates."""
+    n, k = rates.shape
+    off = 1.0 - rates
+    off /= k - 1
+    off *= pi.pi
+    cells = np.empty((n, k, k))
+    cells[:] = off[:, None, :]
+    cells.reshape(n, k * k)[:, ::k + 1] = rates * pi.pi
+    return cells
 
 
 def controlled_matrix(pi, c) -> ConfusionMatrix:
@@ -126,16 +168,9 @@ def controlled_matrix(pi, c) -> ConfusionMatrix:
             f"need one retention rate per class, got shape {c.shape} for k={pi.k}",
             parameter="c", value=c.shape,
         )
-    if (c < 0).any() or (c > 1).any():
-        bad = int(np.flatnonzero((c < 0) | (c > 1))[0])
-        raise InvalidInput(f"retention rate {bad + 1} is outside [0, 1]",
-                           parameter=f"c[{bad + 1}]", value=c[bad])
-    k = pi.k
-    cells = np.empty((k, k))
-    for j in range(k):
-        cells[:, j] = (1.0 - c[j]) / (k - 1) * pi.pi[j]
-        cells[j, j] = c[j] * pi.pi[j]
-    return ConfusionMatrix(cells)
+    rates = c[None]
+    _check_rates(rates)
+    return ConfusionMatrix(_controlled_cells(pi, rates)[0])
 
 
 def make_series(spec: SeriesSpec) -> list[ConfusionMatrix]:
@@ -147,14 +182,34 @@ def make_series(spec: SeriesSpec) -> list[ConfusionMatrix]:
     return out
 
 
+def _series_rates(k: int, c: np.ndarray, mode: SeriesMode) -> np.ndarray:
+    """``(n, k)`` retention rates of the series members at retentions ``c``."""
+    if mode == SeriesMode.ALL_CLASSES:
+        return np.repeat(c[:, None], k, axis=1)
+    if mode == SeriesMode.FIRST_CLASS_ONLY:
+        rates = np.ones((c.size, k))
+        rates[:, 0] = c
+        return rates
+    raise InvalidInput("unknown series mode", parameter="mode", value=mode)
+
+
 def series_matrix(pi: ProportionVector, c: float, mode: SeriesMode,
                   ) -> ConfusionMatrix:
     """A single series member at retention ``c``."""
-    rates = np.ones(pi.k)
-    if mode == SeriesMode.ALL_CLASSES:
-        rates[:] = c
-    elif mode == SeriesMode.FIRST_CLASS_ONLY:
-        rates[0] = c
-    else:
-        raise InvalidInput("unknown series mode", parameter="mode", value=mode)
-    return controlled_matrix(pi, rates)
+    rates = _series_rates(pi.k, np.array([c], dtype=float), mode)
+    _check_rates(rates)
+    return ConfusionMatrix(_controlled_cells(pi, rates)[0])
+
+
+def series_stack(pi: ProportionVector, c, mode: SeriesMode) -> np.ndarray:
+    """Cells of the series members at the retentions ``c``, as ``(n, k, k)``.
+
+    Member ``i`` equals ``series_matrix(pi, c[i], mode).cells`` bit for bit,
+    and every check of ``series_matrix`` runs on every member: the first bad
+    member raises the error ``series_matrix`` raises for it.
+    """
+    rates = _series_rates(pi.k, np.asarray(c, dtype=float).reshape(-1), mode)
+    _check_rates(rates)
+    cells = _controlled_cells(pi, rates)
+    ConfusionMatrix.check_stack(cells)
+    return cells

@@ -310,3 +310,107 @@ class TestGtCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TooFewClasses"
+
+
+def strict_error(capsys) -> dict:
+    """The one-line JSON error on stderr, parsed as strict JSON."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return json.loads(err, parse_constant=reject)
+
+
+class TestOutputPathErrors:
+    """An output path in a missing directory is a JSON error, exit 2."""
+
+    @pytest.fixture
+    def line_csv(self, tmp_path):
+        out = tmp_path / "osr.csv"
+        assert main(["discriminate", "--measure", "osr", "--k", "3", "--p", "0",
+                     "--grid-step", "0.1", "--output", str(out)]) == 0
+        return str(out)
+
+    def check(self, capsys, argv, parameter, path):
+        assert main(argv) == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == parameter
+        assert err["value"] == str(path)
+
+    def test_measure(self, counts_csv, tmp_path, capsys):
+        path = tmp_path / "nodir" / "r.json"
+        self.check(capsys, ["measure", "--input", counts_csv, "--counts",
+                            "--output", str(path)], "output", path)
+
+    def test_equivalence(self, tmp_path, capsys):
+        path = tmp_path / "nodir" / "e.json"
+        self.check(capsys, ["equivalence", "--kinds", "osr,ckc", "--k", "3",
+                            "--p", "0", "--grid-step", "0.25",
+                            "--output", str(path)], "output", path)
+
+    def test_discriminate(self, tmp_path, capsys):
+        path = tmp_path / "nodir" / "l.csv"
+        self.check(capsys, ["discriminate", "--measure", "osr", "--k", "3",
+                            "--p", "0", "--grid-step", "0.25",
+                            "--output", str(path)], "output", path)
+
+    def test_plot(self, line_csv, tmp_path, capsys):
+        path = tmp_path / "nodir" / "x.svg"
+        self.check(capsys, ["plot", "--input", line_csv, "--svg", str(path)],
+                   "svg", path)
+
+    def test_gt(self, counts_csv, tmp_path, capsys):
+        path = tmp_path / "nodir" / "g.json"
+        self.check(capsys, ["gt", "--input", counts_csv, "--counts",
+                            "--output", str(path)], "output", path)
+
+    def test_generate_into_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        self.check(capsys, ["generate", "--k", "3", "--p", "0",
+                            "--grid-step", "0.5", "--output", str(path)],
+                   "output", path)
+
+
+class TestUndecodableInput:
+    """An input file that is not valid text is a JSON error, exit 2."""
+
+    BYTES = b"\xff\xfe\x00" + "0.5,0\n0,0.5\n".encode("utf-16-le")
+
+    @pytest.mark.parametrize("command,name", [
+        (["measure"], "m.csv"), (["measure"], "m.json"), (["gt"], "m.csv"),
+        (["plot", "--svg", "x.svg"], "l.csv"),
+    ])
+    def test_names_the_path(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        path.write_bytes(self.BYTES)
+        argv = [command[0], "--input", str(path)]
+        argv += [str(tmp_path / a) if a.endswith(".svg") else a
+                 for a in command[1:]]
+        assert main(argv) == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "input"
+        assert err["value"] == str(path)
+
+
+class TestSeriesLimits:
+    def test_generate_rejects_k_above_ceiling(self, tmp_path, capsys):
+        code = main(["generate", "--k", "1100", "--p", "0.5",
+                     "--output", str(tmp_path / "bundle")])
+        assert code == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "k"
+        assert err["value"] == 1100
+
+    def test_discriminate_rejects_step_that_does_not_divide(self, capsys):
+        code = main(["discriminate", "--measure", "osr", "--k", "3", "--p", "0",
+                     "--grid-step", "0.3"])
+        assert code == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "step"
+        assert err["value"] == 0.3

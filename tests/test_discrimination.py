@@ -16,7 +16,9 @@ from confmeasures import (
 from confmeasures.discrimination import (
     TIE_TOLERANCE,
     ConcordanceResult,
+    LineRow,
     Preference,
+    _bisect_rows,
     consistency,
     discrimination_line,
     equivalence_classes,
@@ -25,7 +27,12 @@ from confmeasures.discrimination import (
 )
 from confmeasures.measures import MeasureKind as K
 from confmeasures.measures import evaluate
-from confmeasures.series import SeriesMode, class_proportions, series_matrix
+from confmeasures.series import (
+    SeriesMode,
+    class_proportions,
+    series_matrix,
+    uniform_grid,
+)
 
 from conftest import random_matrix
 
@@ -433,3 +440,139 @@ class TestAgainstPerPairLoop:
         part = equivalence_classes(kinds, source, class_index=1)
         assert part.groups == expected
         assert part.pairs_compared == len(pairs)
+
+
+def per_row_line(kind, k, p, class_index, grid, c_lo):
+    """The rows of a line solved one row and one matrix at a time with the
+    scalar ``evaluate``: a 32-point sign scan per row, then bisection of the
+    first sign change."""
+    pi = class_proportions(k, p)
+
+    def measure_on(mode, c):
+        return evaluate(series_matrix(pi, c, mode), kind, class_index).value
+
+    def bisect(g, lo, hi, g_lo):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gm = g(mid)
+            if gm is None:
+                return None
+            if gm == 0.0:
+                return mid
+            if (gm < 0) == (g_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def solve(c_x, target):
+        def g(c_y):
+            v = measure_on(SeriesMode.FIRST_CLASS_ONLY, c_y)
+            return None if v is None else v - target
+
+        samples = np.linspace(c_lo, 1.0, 32)
+        values = []
+        for s in samples:
+            gv = g(float(s))
+            if gv is None:
+                return LineRow(c_x, None, False, None)
+            values.append(gv)
+        values = np.asarray(values)
+        if np.abs(values).max() <= TIE_TOLERANCE:
+            return LineRow(c_x, min(max(c_x, c_lo), 1.0), True, Preference.TIE)
+        if values.min() > TIE_TOLERANCE:
+            return LineRow(c_x, None, False, Preference.SECOND)
+        if values.max() < -TIE_TOLERANCE:
+            return LineRow(c_x, None, False, Preference.FIRST)
+        for idx in range(len(samples) - 1):
+            if values[idx] == 0.0:
+                return LineRow(c_x, float(samples[idx]), True, Preference.TIE)
+            if values[idx] * values[idx + 1] <= 0.0:
+                root = bisect(g, float(samples[idx]), float(samples[idx + 1]),
+                              values[idx])
+                if root is None:
+                    return LineRow(c_x, None, False, None)
+                return LineRow(c_x, root, True, Preference.TIE)
+        side = Preference.SECOND if values.mean() > 0 else Preference.FIRST
+        return LineRow(c_x, None, False, side)
+
+    rows = []
+    for c_x in grid:
+        target = measure_on(SeriesMode.ALL_CLASSES, c_x)
+        rows.append(LineRow(c_x, None, False, None) if target is None
+                    else solve(c_x, target))
+    return rows
+
+
+class TestAgainstPerRowSolver:
+    CASES = [(K.OSR, None), (K.COHEN_KAPPA, None), (K.TPR, 1), (K.TPR, 2),
+             (K.PPV, 1), (K.PPV, 2), (K.F_MEASURE, 1), (K.F_MEASURE, 2)]
+
+    @staticmethod
+    def assert_same_rows(line, expected):
+        assert len(line.rows) == len(expected)
+        for got, want in zip(line.rows, expected):
+            assert got == want
+            assert type(got.c_y) is type(want.c_y)
+
+    @pytest.mark.parametrize("kind,class_index", CASES)
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_paper_grid(self, kind, class_index, k, p):
+        line = discrimination_line(kind, k=k, p=p, class_index=class_index,
+                                   grid_step=0.05)
+        self.assert_same_rows(line, per_row_line(
+            kind, k, p, class_index, uniform_grid(0.05), 0.0))
+
+    @pytest.mark.parametrize("kind,class_index", CASES)
+    def test_restricted_range(self, kind, class_index):
+        # PPV of class 1 is undefined only at c_y = 0, below this range
+        line = discrimination_line(kind, k=3, p=0.5, class_index=class_index,
+                                   grid_step=0.05, c_lo=0.6)
+        self.assert_same_rows(line, per_row_line(
+            kind, 3, 0.5, class_index, uniform_grid(0.05, 0.6), 0.6))
+
+    @pytest.mark.parametrize("kind,class_index", CASES)
+    def test_custom_grid(self, kind, class_index):
+        grid = [0, 0.13, 0.5, 0.77, 0.9999, 1]
+        line = discrimination_line(kind, k=4, p=0.25, class_index=class_index,
+                                   grid=iter(grid))
+        self.assert_same_rows(line, per_row_line(
+            kind, 4, 0.25, class_index, grid, 0.0))
+
+    def test_argument_errors(self):
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.TPR, k=3, p=0.0, class_index=4)
+        assert exc.value.parameter == "class_index"
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.OSR, k=3, p=0.0, class_index=1)
+        assert exc.value.parameter == "class_index"
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.OSR, k=3, p=0.0, grid=[0.5, 1.5])
+        assert exc.value.parameter == "c[1]"
+
+    def test_empty_grid(self):
+        assert discrimination_line(K.OSR, k=3, p=0.0, grid=[]).rows == ()
+
+
+class TestBisectRows:
+    """The stacked bisection retires a row at an undefined probe or an exact
+    zero and bisects the others on."""
+
+    @staticmethod
+    def identity_undefined_above(limit):
+        def measure_on(mode, c):
+            c = np.asarray(c, dtype=float)
+            return c.copy(), c <= limit
+        return measure_on
+
+    def test_rows_retire_independently(self):
+        targets = np.array([0.3, 0.7, 0.25])
+        lo = np.array([0.0, 0.5, 0.0])
+        hi = np.array([0.5, 1.0, 0.5])
+        g_lo = lo - targets
+        roots = _bisect_rows(np.arange(3), lo, hi, g_lo, targets,
+                             self.identity_undefined_above(0.74))
+        assert roots[0] == pytest.approx(0.3, abs=1e-15)
+        assert roots[1] is None  # its first probe, 0.75, is undefined
+        assert roots[2] == 0.25  # its first probe hits the target exactly

@@ -17,6 +17,8 @@ from confmeasures import (
     chance_expectation,
     class_measure,
     evaluate,
+    evaluate_stack,
+    from_counts,
     overall_measure,
     parse_kind,
     report,
@@ -348,3 +350,63 @@ class TestReport:
         m = ConfusionMatrix(np.array([[0.5, 0.0], [0.5, 0.0]]))
         text = report(m).to_text()
         assert "undef" in text
+
+
+def _stack_members(seed: int, k: int, n: int) -> list[ConfusionMatrix]:
+    """Count matrices with ties and zeros: plain, one empty estimated class
+    (row), one empty true class (column), or perfect."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(n):
+        counts = rng.integers(0, 4, size=(k, k))
+        shape = rng.integers(0, 4)
+        if shape == 1:
+            counts[rng.integers(k), :] = 0
+        elif shape == 2:
+            counts[:, rng.integers(k)] = 0
+        elif shape == 3:
+            counts = np.diag(np.diag(counts))
+        if not counts.any():
+            counts[0, 0] = 1
+        members.append(from_counts(counts))
+    return members
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestEvaluateStack:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           n=st.integers(1, 6))
+    def test_equals_scalar_evaluate_bit_for_bit(self, seed, k, n):
+        members = _stack_members(seed, k, n)
+        cells = np.stack([m.cells for m in members])
+        for kind in K:
+            for ci in (range(1, k + 1) if kind.class_specific else [None]):
+                values, defined = evaluate_stack(cells, kind, ci)
+                assert values.shape == defined.shape == (n,)
+                for m, value, ok in zip(members, values, defined):
+                    expected = evaluate(m, kind, ci).value
+                    assert ok == (expected is not None), (kind, ci)
+                    if ok:
+                        assert _same_bits(value, expected), (kind, ci)
+
+    def test_undefined_is_a_mask(self):
+        cells = np.stack([np.diag([0.5, 0.5, 0.0]), np.full((3, 3), 1 / 9)])
+        values, defined = evaluate_stack(cells, K.PPV, 3)
+        assert defined.tolist() == [False, True]
+        assert values[1] == pytest.approx(1 / 3)
+        _, defined = evaluate_stack(cells, K.CSI)
+        assert defined.tolist() == [False, True]
+
+    def test_argument_errors_match_evaluate(self, first_classifier):
+        cells = first_classifier.cells[None]
+        for kind, ci in ((K.TPR, None), (K.OSR, 1), (K.TPR, 4), (K.GT_INDEX, 0),
+                         (K.PPV, 1.5)):
+            with pytest.raises(InvalidInput) as scalar:
+                evaluate(first_classifier, kind, ci)
+            with pytest.raises(InvalidInput) as stacked:
+                evaluate_stack(cells, kind, ci)
+            assert stacked.value.to_dict() == scalar.value.to_dict()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from confmeasures import InvalidInput
 from confmeasures.measures import MeasureKind, overall_measure
 from confmeasures.series import (
+    MAX_CLASSES,
     ProportionVector,
     SeriesMode,
     SeriesSpec,
@@ -17,6 +18,7 @@ from confmeasures.series import (
     controlled_matrix,
     make_series,
     series_matrix,
+    series_stack,
     uniform_grid,
 )
 
@@ -224,3 +226,73 @@ class TestSeries:
             )
         with pytest.raises(InvalidInput):
             SeriesSpec(k=3, p=1.5, grid=(0.5,), mode=SeriesMode.ALL_CLASSES)
+
+
+class TestSeriesStack:
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("mode", list(SeriesMode))
+    def test_equals_series_matrix_bit_for_bit(self, k, p, mode):
+        pi = class_proportions(k, p)
+        c = np.concatenate([np.linspace(0.0, 1.0, 23), [1 / 3, 0.1, 0.7]])
+        stack = series_stack(pi, c, mode)
+        assert stack.shape == (c.size, k, k)
+        for member, value in zip(stack, c.tolist()):
+            cells = series_matrix(pi, value, mode).cells
+            assert member.tobytes() == cells.tobytes()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("mode", list(SeriesMode))
+    def test_rejects_like_series_matrix(self, bad, mode):
+        pi = class_proportions(3, 0.5)
+        with pytest.raises(InvalidInput) as scalar:
+            series_matrix(pi, bad, mode)
+        with pytest.raises(InvalidInput) as stacked:
+            series_stack(pi, [0.2, 1.0, bad, 0.5], mode)
+        assert stacked.value.to_dict() == scalar.value.to_dict()
+
+    def test_empty(self):
+        pi = class_proportions(3, 0.0)
+        assert series_stack(pi, [], SeriesMode.ALL_CLASSES).shape == (0, 3, 3)
+
+
+class TestClassCeiling:
+    @pytest.mark.parametrize("k", [MAX_CLASSES + 1, 1024, 1100, 10**9])
+    def test_rejected_before_any_work(self, k):
+        with pytest.raises(InvalidInput) as exc:
+            class_proportions(k, 0.5)
+        assert exc.value.parameter == "k"
+        assert exc.value.value == k
+        with pytest.raises(InvalidInput):
+            SeriesSpec(k=k, p=0.5, grid=(0.0, 1.0), mode=SeriesMode.ALL_CLASSES)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_ceiling_itself_is_accepted(self, p):
+        pi = class_proportions(MAX_CLASSES, p)
+        assert pi.k == MAX_CLASSES
+        assert (pi.pi > 0).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12, 40])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+    def test_valid_proportions_unchanged(self, k, p):
+        i = np.arange(1, k + 1)
+        expected = (1.0 - p) / k + p * 2.0 ** (k - i) / (2.0 ** k - 1.0)
+        assert class_proportions(k, p).pi.tobytes() == expected.tobytes()
+
+
+class TestGridStep:
+    @pytest.mark.parametrize("step,c_lo", [(0.3, 0.0), (0.03, 0.0), (0.7, 0.0),
+                                           (0.15, 0.6), (0.5, 0.6)])
+    def test_step_must_divide_the_range(self, step, c_lo):
+        with pytest.raises(InvalidInput) as exc:
+            uniform_grid(step=step, c_lo=c_lo)
+        assert exc.value.parameter == "step"
+
+    @pytest.mark.parametrize("step,c_lo,n", [(0.01, 0.0, 101), (0.02, 0.0, 51),
+                                             (0.05, 0.0, 21), (0.1, 0.6, 5),
+                                             (0.3, 0.1, 4), (0.1, 0.3, 8),
+                                             (1.0, 0.0, 2), (0.25, 0.0, 5)])
+    def test_dividing_steps_keep_their_grid(self, step, c_lo, n):
+        grid = uniform_grid(step=step, c_lo=c_lo)
+        expected = tuple(float(v) for v in np.linspace(c_lo, 1.0, n))
+        assert grid == expected
