@@ -24,7 +24,6 @@ from .discrimination import (
 from .errors import (
     ConfmeasuresError,
     DegenerateChance,
-    DegenerateWeights,
     EmptyMatrix,
     InsufficientData,
     InvalidInput,
@@ -42,20 +41,13 @@ from .gt import (
 from .matrix import (
     BinaryCounts,
     ConfusionMatrix,
-    WeightMatrix,
-    apply_weights,
-    binarize,
     class_counts,
     from_counts,
-    marginals,
 )
 from .measures import (
-    AgreementDecomposition,
     MeasureKind,
     MeasureReport,
     MeasureValue,
-    agreement,
-    chance_expectation,
     class_measure,
     evaluate,
     evaluate_stack,
@@ -68,29 +60,24 @@ from .measures import (
 from .series import (
     ProportionVector,
     SeriesMode,
-    SeriesSpec,
     class_proportions,
     controlled_matrix,
-    make_series,
     series_matrix,
     series_stack,
     uniform_grid,
 )
 
 __all__ = [
-    "AgreementDecomposition", "BinaryCounts", "ConcordanceResult",
-    "ConfmeasuresError", "ConfusionMatrix", "DegenerateChance",
-    "DegenerateWeights", "DiscriminationLine", "EmptyMatrix",
+    "BinaryCounts", "ConcordanceResult", "ConfmeasuresError",
+    "ConfusionMatrix", "DegenerateChance", "DiscriminationLine", "EmptyMatrix",
     "EquivalencePartition", "GtIndexResult", "InsufficientData",
     "InvalidInput", "LineRow", "MeasureKind", "MeasureReport", "MeasureValue",
     "NoConvergence", "NotComparable", "PerfectClassification", "Preference",
-    "ProportionVector", "QuasiIndependenceFit", "SeriesMode", "SeriesSpec",
-    "TooFewClasses", "WeightMatrix", "agreement", "apply_weights", "binarize",
-    "chance_expectation", "class_counts", "class_measure", "class_proportions",
-    "consistency", "controlled_matrix", "discrimination_line",
-    "equivalence_classes", "evaluate", "evaluate_stack",
-    "fit_quasi_independence", "from_counts", "gt_index", "make_series",
-    "marginals", "overall_measure", "parse_kind", "preference", "report",
+    "ProportionVector", "QuasiIndependenceFit", "SeriesMode", "TooFewClasses",
+    "class_counts", "class_measure", "class_proportions", "consistency",
+    "controlled_matrix", "discrimination_line", "equivalence_classes",
+    "evaluate", "evaluate_stack", "fit_quasi_independence", "from_counts",
+    "gt_index", "overall_measure", "parse_kind", "preference", "report",
     "round_half_up", "series_matrix", "series_pairs", "series_stack",
     "uniform_grid", "value_range",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import sys
 
 from . import __version__
@@ -33,11 +34,21 @@ from .matrixio import (
 )
 from .measures import parse_kind, report
 from .plotting import PlotDocument, PlotLine, write_svg
-from .series import SeriesMode, SeriesSpec, make_series, uniform_grid
+from .series import SeriesMode, class_proportions, series_matrix, uniform_grid
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``InvalidInput``, so they follow the JSON error
+    contract too; ``--help`` and ``--version`` exit as usual."""
+
+    def error(self, message):
+        named = re.match(r"argument ([^:]+): ", message)
+        raise InvalidInput(f"{self.prog}: {message}", value=None,
+                           parameter=named.group(1) if named else "argv")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confmeasures",
         description="Accuracy measures and discrimination lines for "
                     "confusion matrices",
@@ -136,19 +147,19 @@ def cmd_measure(args) -> int:
 
 def cmd_generate(args) -> int:
     grid = uniform_grid(step=args.grid_step, c_lo=args.c_lo)
+    pi = class_proportions(args.k, args.p)
     out = pathlib.Path(args.output)
     _write(out, lambda target: target.mkdir(parents=True, exist_ok=True),
            "output")
     index_rows = ["series,index,c,path"]
     for name, mode in (("x", SeriesMode.ALL_CLASSES),
                        ("y", SeriesMode.FIRST_CLASS_ONLY)):
-        spec = SeriesSpec(k=args.k, p=args.p, grid=grid, mode=mode,
-                          c_lo=args.c_lo)
-        for ix, m in enumerate(make_series(spec)):
+        for ix, c in enumerate(grid):
             rel = f"{name}_{ix:04d}.csv"
+            m = series_matrix(pi, c, mode)
             _write(out / rel, lambda target: write_matrix_csv(m, target),
                    "output")
-            index_rows.append(f"{name},{ix},{fmt(grid[ix])},{rel}")
+            index_rows.append(f"{name},{ix},{fmt(c)},{rel}")
     _write_text(out / "index.csv", "\n".join(index_rows) + "\n")
     return 0
 
@@ -225,9 +236,8 @@ def cmd_gt(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfmeasuresError as exc:
         print(json.dumps(exc.to_dict()), file=sys.stderr)

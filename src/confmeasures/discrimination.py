@@ -23,8 +23,8 @@ from .errors import InsufficientData, InvalidInput, NotComparable
 from .matrix import ConfusionMatrix
 from .measures import MeasureKind, evaluate, evaluate_stack
 from .series import (
-    ProportionVector,
     SeriesMode,
+    _check_c_lo,
     class_proportions,
     series_matrix,
     series_stack,
@@ -112,15 +112,16 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     than ``tie_tolerance`` on one side of its target has no crossing;
     otherwise its first sign change in scan order is bisected for 60 steps,
     every such row in the same stacked probe. A row has no verdict where its
-    target, a scan point or one of its probes is undefined.
+    target, a scan point or one of its probes is undefined. ``c_lo`` lies in
+    [0, 1), as for ``uniform_grid``, and no value of a given ``grid`` lies
+    below it.
     """
-    if kind.class_specific and class_index is None:
-        raise InvalidInput(f"{kind.short_name} needs a class index",
-                           parameter="class_index", value=None)
     pi = class_proportions(k, p)
     if grid is None:
         grid = uniform_grid(step=grid_step, c_lo=c_lo)
-    grid = list(grid)
+    else:
+        grid = list(grid)
+        _check_c_lo(c_lo, grid)
 
     def measure_on(mode: SeriesMode, c) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(c, dtype=float)

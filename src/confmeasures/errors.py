@@ -54,10 +54,6 @@ class EmptyMatrix(InvalidInput):
     """A count grid with zero total instances."""
 
 
-class DegenerateWeights(ConfmeasuresError):
-    """Weighting left no mass to renormalize."""
-
-
 class DegenerateChance(ConfmeasuresError):
     """Chance agreement is 1, so chance correction divides by zero."""
 

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DegenerateWeights, EmptyMatrix, InvalidInput
+from .errors import EmptyMatrix, InvalidInput
 
 SUM_TOLERANCE = 1e-9
 
@@ -72,18 +72,6 @@ class ConfusionMatrix:
         if bad.any():
             ConfusionMatrix(cells[int(bad.argmax())])
 
-    @classmethod
-    def from_cells(cls, cells, normalize: bool = False) -> "ConfusionMatrix":
-        """Build from a proportion grid; ``normalize`` rescales to unit sum."""
-        arr = _as_square_float_array(cells, "cells")
-        if normalize:
-            total = float(arr.sum())
-            if total <= 0:
-                raise InvalidInput("cannot normalize a grid with non-positive total",
-                                   parameter="cells", value=total)
-            arr = arr / total
-        return cls(arr)
-
     @property
     def k(self) -> int:
         return self.cells.shape[0]
@@ -118,30 +106,6 @@ class BinaryCounts:
                                value=total)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Non-negative cell weights; at least one weight must be positive."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_square_float_array(self.weights, "weights")
-        if (arr < 0).any():
-            i, j = np.argwhere(arr < 0)[0]
-            raise InvalidInput(f"weight ({i + 1}, {j + 1}) is negative",
-                               parameter=f"weights[{i + 1},{j + 1}]", value=arr[i, j])
-        if not (arr > 0).any():
-            raise DegenerateWeights("all weights are zero", parameter="weights",
-                                    value=0.0)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-
 def from_counts(counts) -> ConfusionMatrix:
     """Convert a raw count grid into a joint-proportion matrix.
 
@@ -162,11 +126,6 @@ def from_counts(counts) -> ConfusionMatrix:
         raise EmptyMatrix("count grid has zero total instances",
                           parameter="counts", value=0)
     return ConfusionMatrix(rounded / total)
-
-
-def marginals(m: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(row sums, column sums) of the joint-proportion matrix."""
-    return m.row_sums(), m.col_sums()
 
 
 def _check_class_index(k: int, i: int) -> int:
@@ -195,26 +154,3 @@ def class_counts(m: ConfusionMatrix, i: int) -> BinaryCounts:
         return 0.0 if -1e-12 < v < 0.0 else v
 
     return BinaryCounts(tp=_clamp(tp), fp=_clamp(fp), fn=_clamp(fn), tn=_clamp(tn))
-
-
-def binarize(m: ConfusionMatrix, i: int) -> ConfusionMatrix:
-    """Collapse to the 2x2 one-vs-rest matrix [[tp, fp], [fn, tn]] for class ``i``."""
-    c = class_counts(m, i)
-    return ConfusionMatrix(np.array([[c.tp, c.fp], [c.fn, c.tn]]))
-
-
-def apply_weights(m: ConfusionMatrix, w: WeightMatrix) -> ConfusionMatrix:
-    """Reweight cells and renormalize so the result is again a proportion matrix."""
-    if w.k != m.k:
-        raise InvalidInput(
-            f"weight grid is {w.k}x{w.k} but matrix is {m.k}x{m.k}",
-            parameter="weights", value=w.k,
-        )
-    weighted = m.cells * w.weights
-    total = float(weighted.sum())
-    if total <= 0:
-        raise DegenerateWeights(
-            "weights remove all mass from the matrix", parameter="weights",
-            value=total,
-        )
-    return ConfusionMatrix(weighted / total)

@@ -10,13 +10,17 @@ Class-specific measures are ratios of the one-vs-rest cells:
     ICSI = PPV + TPR - 1
     KUL  = (PPV + TPR) / 2
 
-Multiclass measures are the trace (OSR), the mean ICSI (CSI), and the
-chance-corrected agreement family A = (Po - Pe) / (1 - Pe) with Po the trace
-and Pe the chance term of the respective coefficient (CKC, SPC, MRE).
+Multiclass measures are the observed agreement Po (OSR), the mean ICSI
+(CSI), and the chance-corrected agreement family A = (Po - Pe) / (1 - Pe)
+with Pe the chance term of the respective coefficient (CKC, SPC, MRE),
+undefined where Pe >= 1. Po is the trace clipped to at most 1, since cells
+sum to 1 only within ``SUM_TOLERANCE``: a perfect matrix scores exactly 1.
 
 A 0/0 ratio is an explicit Undefined outcome, carried as ``value=None``; it is
 never silently reported as 0 or NaN. ``evaluate_stack`` evaluates one kind on
 an ``(n, k, k)`` stack of matrices and carries Undefined as a boolean mask.
+Both paths read one definition of each formula (``_CLASS_FORMULAS``, ``_csi``,
+``_agreement``), the scalar path with Python floats and the stack with arrays.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class MeasureKind(enum.Enum):
 
     @property
     def short_name(self) -> str:
-        return _SHORT_NAMES[self]
+        return self.value.upper()
 
 
 _CLASS_SPECIFIC = {
@@ -70,27 +74,12 @@ _CLASS_SPECIFIC = {
     MeasureKind.KULCZYNSKI, MeasureKind.GT_INDEX,
 }
 
-_SHORT_NAMES = {
-    MeasureKind.OSR: "OSR", MeasureKind.TPR: "TPR", MeasureKind.TNR: "TNR",
-    MeasureKind.PPV: "PPV", MeasureKind.NPV: "NPV", MeasureKind.FPR: "FPR",
-    MeasureKind.F_MEASURE: "F", MeasureKind.JCC: "JCC", MeasureKind.ICSI: "ICSI",
-    MeasureKind.KULCZYNSKI: "KUL", MeasureKind.CSI: "CSI",
-    MeasureKind.COHEN_KAPPA: "CKC", MeasureKind.SCOTT_PI: "SPC",
-    MeasureKind.MAXWELL_RE: "MRE", MeasureKind.GT_INDEX: "GT",
-}
-
-_ALIASES = {
-    "osr": MeasureKind.OSR, "tpr": MeasureKind.TPR, "tnr": MeasureKind.TNR,
-    "ppv": MeasureKind.PPV, "npv": MeasureKind.NPV, "fpr": MeasureKind.FPR,
-    "f": MeasureKind.F_MEASURE, "f-measure": MeasureKind.F_MEASURE,
-    "f_measure": MeasureKind.F_MEASURE, "f1": MeasureKind.F_MEASURE,
-    "jcc": MeasureKind.JCC, "jaccard": MeasureKind.JCC,
-    "icsi": MeasureKind.ICSI, "kul": MeasureKind.KULCZYNSKI,
-    "kulczynski": MeasureKind.KULCZYNSKI, "csi": MeasureKind.CSI,
-    "ckc": MeasureKind.COHEN_KAPPA, "ckp": MeasureKind.COHEN_KAPPA,
-    "kappa": MeasureKind.COHEN_KAPPA, "spc": MeasureKind.SCOTT_PI,
-    "pi": MeasureKind.SCOTT_PI, "mre": MeasureKind.MAXWELL_RE,
-    "gt": MeasureKind.GT_INDEX, "gt_index": MeasureKind.GT_INDEX,
+_ALIASES = {kind.value: kind for kind in MeasureKind} | {
+    "f-measure": MeasureKind.F_MEASURE, "f_measure": MeasureKind.F_MEASURE,
+    "f1": MeasureKind.F_MEASURE, "jaccard": MeasureKind.JCC,
+    "kulczynski": MeasureKind.KULCZYNSKI, "ckp": MeasureKind.COHEN_KAPPA,
+    "kappa": MeasureKind.COHEN_KAPPA, "pi": MeasureKind.SCOTT_PI,
+    "gt_index": MeasureKind.GT_INDEX,
 }
 
 
@@ -134,43 +123,6 @@ class MeasureValue:
         return self.value is not None
 
 
-@dataclasses.dataclass(frozen=True)
-class AgreementDecomposition:
-    """Observed and chance agreement for a chance-corrected coefficient."""
-
-    po: float
-    pe: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.po <= 1.0:
-            raise InvalidInput("observed agreement must be in [0, 1]",
-                               parameter="po", value=self.po)
-        if not 0.0 <= self.pe <= 1.0:
-            raise InvalidInput("chance agreement must be in [0, 1]",
-                               parameter="pe", value=self.pe)
-
-
-def agreement(d: AgreementDecomposition) -> float:
-    """Chance-corrected agreement (Po - Pe) / (1 - Pe)."""
-    if d.pe >= 1.0:
-        raise DegenerateChance("chance agreement is 1, correction undefined",
-                               parameter="pe", value=d.pe)
-    return (d.po - d.pe) / (1.0 - d.pe)
-
-
-def chance_expectation(m: ConfusionMatrix, kind: MeasureKind) -> float:
-    """Chance term Pe used by the agreement coefficients."""
-    if kind == MeasureKind.COHEN_KAPPA:
-        return float(np.dot(m.row_sums(), m.col_sums()))
-    if kind == MeasureKind.SCOTT_PI:
-        pi = m.col_sums()
-        return float(np.dot(pi, pi))
-    if kind == MeasureKind.MAXWELL_RE:
-        return 1.0 / m.k
-    raise InvalidInput(f"{kind.short_name} has no chance term",
-                       parameter="kind", value=kind.short_name)
-
-
 def _tpr(tp, fp, fn, tn):
     return tp, tp + fn
 
@@ -202,23 +154,43 @@ _CLASS_FORMULAS = {
 }
 
 
-def _class_formula(kind: MeasureKind) -> tuple:
-    formula = _CLASS_FORMULAS.get(kind)
-    if formula is None:
-        raise InvalidInput(f"{kind.short_name} is not a per-class ratio measure",
-                           parameter="kind", value=kind.short_name)
-    return formula
-
-
-def _class_value(c: BinaryCounts, kind: MeasureKind) -> float | None:
-    ratios, combine = _class_formula(kind)
+def _class_value(c: BinaryCounts, kind: MeasureKind) -> tuple[float, bool]:
+    ratios, combine = _CLASS_FORMULAS[kind]
     parts = []
     for ratio in ratios:
         num, den = ratio(c.tp, c.fp, c.fn, c.tn)
         if den == 0:
-            return None
+            return 0.0, False
         parts.append(num / den)
-    return parts[0] if combine is None else combine(*parts)
+    return (parts[0] if combine is None else combine(*parts)), True
+
+
+def _csi(icsi, k: int) -> tuple:
+    """CSI, the mean ICSI, and where it is defined: where every class is.
+    ``icsi(ix, defined)`` gives the ICSI of class ``ix`` (0-based) and where
+    it is defined, given ``defined`` of the classes before it: floats and
+    bools on one matrix, where an undefined class ends the sum, or arrays."""
+    total, defined = 0, True
+    for ix in range(k):
+        value, ok = icsi(ix, defined)
+        defined = defined & ok
+        if defined is False:
+            break
+        total = total + value
+    return total / k, defined
+
+
+def _agreement(kind: MeasureKind, po, cells: np.ndarray) -> tuple:
+    """Numerator and denominator of (Po - Pe) / (1 - Pe) on one matrix, ``po``
+    a float, or on an ``(n, k, k)`` stack, ``po`` an array; the coefficient
+    is undefined where the denominator is not positive (Pe >= 1)."""
+    if kind == MeasureKind.MAXWELL_RE:
+        pe = 1.0 / cells.shape[-1]
+    else:
+        cols = cells.sum(axis=-2)
+        rows = cells.sum(axis=-1) if kind == MeasureKind.COHEN_KAPPA else cols
+        pe = np.vecdot(rows, cols)
+    return po - pe, 1.0 - pe
 
 
 def class_measure(m: ConfusionMatrix, i: int, kind: MeasureKind) -> MeasureValue:
@@ -229,29 +201,27 @@ def class_measure(m: ConfusionMatrix, i: int, kind: MeasureKind) -> MeasureValue
             "overall_measure or the quasi-independence fit",
             parameter="kind", value=kind.short_name,
         )
-    c = class_counts(m, i)
-    return MeasureValue(kind=kind, value=_class_value(c, kind), class_index=i)
+    value, defined = _class_value(class_counts(m, i), kind)
+    return MeasureValue(kind, value if defined else None, class_index=i)
 
 
 def overall_measure(m: ConfusionMatrix, kind: MeasureKind) -> MeasureValue:
     """Evaluate a multiclass measure (OSR, CSI, or an agreement coefficient)."""
-    if kind == MeasureKind.OSR:
-        return MeasureValue(kind, float(np.trace(m.cells)))
     if kind == MeasureKind.CSI:
-        parts = []
-        for i in range(1, m.k + 1):
-            v = class_measure(m, i, MeasureKind.ICSI)
-            if not v.defined:
-                return MeasureValue(kind, None)
-            parts.append(v.value)
-        return MeasureValue(kind, sum(parts) / m.k)
-    if kind in (MeasureKind.COHEN_KAPPA, MeasureKind.SCOTT_PI,
-                MeasureKind.MAXWELL_RE):
-        d = AgreementDecomposition(po=float(np.trace(m.cells)),
-                                   pe=chance_expectation(m, kind))
-        return MeasureValue(kind, agreement(d))
-    raise InvalidInput(f"{kind.short_name} is not a multiclass measure",
-                       parameter="kind", value=kind.short_name)
+        value, defined = _csi(lambda ix, _: _class_value(
+            class_counts(m, ix + 1), MeasureKind.ICSI), m.k)
+        return MeasureValue(kind, value if defined else None)
+    po = min(float(np.trace(m.cells)), 1.0)
+    if kind == MeasureKind.OSR:
+        return MeasureValue(kind, po)
+    if kind.class_specific:
+        raise InvalidInput(f"{kind.short_name} is not a multiclass measure",
+                           parameter="kind", value=kind.short_name)
+    num, den = _agreement(kind, po, m.cells)
+    if den <= 0.0:
+        raise DegenerateChance("chance agreement is 1, correction undefined",
+                               parameter="pe", value=float(1.0 - den))
+    return MeasureValue(kind, float(num / den))
 
 
 def _class_specific(kind: MeasureKind, class_index: int | None) -> bool:
@@ -315,33 +285,21 @@ def evaluate_stack(cells: np.ndarray, kind: MeasureKind,
         defined = np.array([t is not None for t in theta], dtype=bool)
         values = np.array([0.0 if t is None else t for t in theta], dtype=float)
         return values, defined
-    rows, cols = cells.sum(axis=2), cells.sum(axis=1)
-    if class_specific:
-        counts = _stack_counts(cells, rows, cols, _check_class_index(k, class_index))
-        return _stack_class_value(counts, kind)
-    po = np.trace(cells, axis1=1, axis2=2)
+    if class_specific or kind == MeasureKind.CSI:
+        rows, cols = cells.sum(axis=2), cells.sum(axis=1)
+        if class_specific:
+            counts = _stack_counts(cells, rows, cols,
+                                   _check_class_index(k, class_index))
+            return _stack_class_value(counts, kind)
+        return _csi(lambda ix, where: _stack_class_value(
+            _stack_counts(cells, rows, cols, ix, where), MeasureKind.ICSI), k)
+    po = np.minimum(np.trace(cells, axis1=1, axis2=2), 1.0)
     if kind == MeasureKind.OSR:
         return po, np.ones(n, dtype=bool)
-    if kind == MeasureKind.CSI:
-        total, defined = 0, np.ones(n, dtype=bool)
-        for ix in range(k):
-            counts = _stack_counts(cells, rows, cols, ix, where=defined)
-            icsi, icsi_defined = _stack_class_value(counts, MeasureKind.ICSI)
-            total = total + icsi
-            defined &= icsi_defined
-        return total / k, defined
-    if kind == MeasureKind.COHEN_KAPPA:
-        pe = (rows[:, None, :] @ cols[:, :, None])[:, 0, 0]
-    elif kind == MeasureKind.SCOTT_PI:
-        pe = (cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
-    else:
-        pe = np.full(n, 1.0 / k)
-    bad = ~((0.0 <= po) & (po <= 1.0) & (0.0 <= pe) & (pe <= 1.0))
-    if bad.any():
-        i = int(bad.argmax())
-        AgreementDecomposition(po=float(po[i]), pe=float(pe[i]))
-    defined = pe < 1.0
-    return _divide(po - pe, 1.0 - pe, defined), defined
+    num, den = _agreement(kind, po, cells)
+    den = np.full(n, den)  # a float for MRE
+    defined = den > 0.0
+    return _divide(num, den, defined), defined
 
 
 def _divide(num: np.ndarray, den: np.ndarray, defined: np.ndarray) -> np.ndarray:
@@ -349,7 +307,7 @@ def _divide(num: np.ndarray, den: np.ndarray, defined: np.ndarray) -> np.ndarray
 
 
 def _stack_counts(cells: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  ix: int, where: np.ndarray | None = None) -> tuple:
+                  ix: int, where=True) -> tuple:
     """(tp, fp, fn, tn) arrays of class ``ix`` (0-based), as ``class_counts``
     computes them; members in ``where`` are checked as ``BinaryCounts``."""
     tp = cells[:, ix, ix]
@@ -359,9 +317,7 @@ def _stack_counts(cells: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     tp, fp, fn, tn = (np.where((-1e-12 < v) & (v < 0.0), 0.0, v)
                       for v in (tp, fp, fn, tn))
     bad = ((tp < 0) | (fp < 0) | (fn < 0) | (tn < 0)
-           | (np.abs(tp + fp + fn + tn - 1.0) > 1e-9))
-    if where is not None:
-        bad &= where
+           | (np.abs(tp + fp + fn + tn - 1.0) > 1e-9)) & where
     if bad.any():
         i = int(bad.argmax())
         BinaryCounts(tp=float(tp[i]), fp=float(fp[i]), fn=float(fn[i]),
@@ -371,7 +327,7 @@ def _stack_counts(cells: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 def _stack_class_value(counts: tuple, kind: MeasureKind,
                        ) -> tuple[np.ndarray, np.ndarray]:
-    ratios, combine = _class_formula(kind)
+    ratios, combine = _CLASS_FORMULAS[kind]
     parts, defined = [], np.ones(len(counts[0]), dtype=bool)
     for ratio in ratios:
         num, den = ratio(*counts)
@@ -379,15 +335,6 @@ def _stack_class_value(counts: tuple, kind: MeasureKind,
         parts.append(_divide(num, den, ok))
         defined &= ok
     return (parts[0] if combine is None else combine(*parts)), defined
-
-
-_REPORT_ORDER = [
-    MeasureKind.OSR, MeasureKind.TPR, MeasureKind.TNR, MeasureKind.PPV,
-    MeasureKind.NPV, MeasureKind.FPR, MeasureKind.F_MEASURE, MeasureKind.JCC,
-    MeasureKind.ICSI, MeasureKind.KULCZYNSKI, MeasureKind.CSI,
-    MeasureKind.COHEN_KAPPA, MeasureKind.SCOTT_PI, MeasureKind.MAXWELL_RE,
-    MeasureKind.GT_INDEX,
-]
 
 
 def round_half_up(x: float, places: int = 2) -> float:
@@ -408,7 +355,7 @@ class MeasureReport:
     def to_text(self) -> str:
         headers = [""] + [f"Cls.{i}" for i in range(1, self.k + 1)] + ["Multi."]
         rows = []
-        for kind in _REPORT_ORDER:
+        for kind in MeasureKind:
             row = [kind.short_name]
             if kind.class_specific:
                 row += [_fmt(v) for v in self.per_class[kind]]
@@ -428,12 +375,12 @@ class MeasureReport:
         per_class = []
         for i in range(self.k):
             entry: dict = {"class": i + 1}
-            for kind in _REPORT_ORDER:
+            for kind in MeasureKind:
                 if kind.class_specific:
                     entry[kind.value] = self.per_class[kind][i].value
             per_class.append(entry)
         overall = {kind.value: self.multiclass[kind].value
-                   for kind in _REPORT_ORDER if not kind.class_specific}
+                   for kind in MeasureKind if not kind.class_specific}
         return {"k": self.k, "per_class": per_class, "overall": overall}
 
 
@@ -445,11 +392,8 @@ def _fmt(v: MeasureValue) -> str:
 
 def report(m: ConfusionMatrix) -> MeasureReport:
     """Evaluate the whole catalog on one matrix."""
-    per_class: dict[MeasureKind, tuple[MeasureValue, ...]] = {}
-    for kind in _REPORT_ORDER:
-        if kind.class_specific:
-            per_class[kind] = tuple(evaluate(m, kind, i)
-                                    for i in range(1, m.k + 1))
+    per_class = {kind: tuple(evaluate(m, kind, i) for i in range(1, m.k + 1))
+                 for kind in MeasureKind if kind.class_specific}
     multiclass = {kind: evaluate(m, kind)
-                  for kind in _REPORT_ORDER if not kind.class_specific}
+                  for kind in MeasureKind if not kind.class_specific}
     return MeasureReport(k=m.k, per_class=per_class, multiclass=multiclass)

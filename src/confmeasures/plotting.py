@@ -75,10 +75,8 @@ def render_svg(doc: PlotDocument) -> str:
              f'font-family="sans-serif" font-size="12" '
              f'transform="rotate(-90 16 {_SIZE / 2:.0f})">c_y</text>')
 
-    dx0, dy0 = _px(0.0, 0.0)
-    dx1, dy1 = _px(1.0, 1.0)
-    e.append(f'<line x1="{_coord(dx0)}" y1="{_coord(dy0)}" x2="{_coord(dx1)}" '
-             f'y2="{_coord(dy1)}" stroke="#aaaaaa" stroke-dasharray="4 3"/>')
+    e.append(f'<line x1="{_coord(x0)}" y1="{_coord(y0)}" x2="{_coord(x1)}" '
+             f'y2="{_coord(y1)}" stroke="#aaaaaa" stroke-dasharray="4 3"/>')
 
     for ix, line in enumerate(doc.lines):
         color = _PALETTE[ix % len(_PALETTE)]

@@ -11,8 +11,9 @@ so column j is (c_j * pi_j on the diagonal, (1 - c_j) / (k - 1) * pi_j off it).
 
 Two one-parameter series are derived from a grid of retention values c:
 ALL_CLASSES erodes every class at rate c; FIRST_CLASS_ONLY erodes only class 1
-and keeps the rest perfect. ``series_stack`` builds many members of a series
-at once, as an ``(n, k, k)`` array of cells.
+and keeps the rest perfect. ``series_matrix`` builds one member of a series
+at a retention c, and ``series_stack`` many members at once, as an
+``(n, k, k)`` array of cells; both share one formula and one set of checks.
 
 The number of classes is at most ``MAX_CLASSES`` (1023): 2^k overflows a
 float at k = 1024.
@@ -66,45 +67,22 @@ class SeriesMode(enum.Enum):
     FIRST_CLASS_ONLY = "first"
 
 
-@dataclasses.dataclass(frozen=True)
-class SeriesSpec:
-    """Configuration of one matrix series."""
-
-    k: int
-    p: float
-    grid: tuple[float, ...]
-    mode: SeriesMode
-    c_lo: float = 0.0
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidInput("p must be in [0, 1]", parameter="p", value=self.p)
-        if not 0.0 <= self.c_lo <= 1.0:
-            raise InvalidInput("c_lo must be in [0, 1]", parameter="c_lo",
-                               value=self.c_lo)
-        grid = tuple(float(c) for c in self.grid)
-        if not grid:
-            raise InvalidInput("grid must not be empty", parameter="grid",
-                               value=grid)
-        for prev, cur in zip(grid, grid[1:]):
-            if cur <= prev:
-                raise InvalidInput("grid must be strictly increasing",
-                                   parameter="grid", value=(prev, cur))
-        if grid[0] < self.c_lo or grid[-1] > 1.0:
-            raise InvalidInput(
-                f"grid values must lie in [{self.c_lo}, 1]", parameter="grid",
-                value=(grid[0], grid[-1]),
-            )
-        object.__setattr__(self, "grid", grid)
-
-
 def _check_k(k) -> None:
     if not isinstance(k, int) or k < 2:
         raise InvalidInput("k must be an integer >= 2", parameter="k", value=k)
     if k > MAX_CLASSES:
         raise InvalidInput(f"k must be at most {MAX_CLASSES}", parameter="k",
                            value=k)
+
+
+def _check_c_lo(c_lo: float, grid=()) -> None:
+    """``c_lo`` lies in [0, 1) and no value of ``grid`` lies below it."""
+    if not 0.0 <= c_lo < 1.0:
+        raise InvalidInput("c_lo must be in [0, 1)", parameter="c_lo", value=c_lo)
+    below = [c for c in grid if c < c_lo]
+    if below:
+        raise InvalidInput(f"grid value {below[0]!r} lies below c_lo",
+                           parameter="c_lo", value=c_lo)
 
 
 def uniform_grid(step: float = 0.01, c_lo: float = 0.0) -> tuple[float, ...]:
@@ -114,8 +92,7 @@ def uniform_grid(step: float = 0.01, c_lo: float = 0.0) -> tuple[float, ...]:
     """
     if not 0 < step <= 1:
         raise InvalidInput("step must be in (0, 1]", parameter="step", value=step)
-    if not 0.0 <= c_lo < 1.0:
-        raise InvalidInput("c_lo must be in [0, 1)", parameter="c_lo", value=c_lo)
+    _check_c_lo(c_lo)
     span = 1.0 - c_lo
     n = round(span / step)
     if abs(n * step - span) > _STEP_TOLERANCE * span:
@@ -171,15 +148,6 @@ def controlled_matrix(pi, c) -> ConfusionMatrix:
     rates = c[None]
     _check_rates(rates)
     return ConfusionMatrix(_controlled_cells(pi, rates)[0])
-
-
-def make_series(spec: SeriesSpec) -> list[ConfusionMatrix]:
-    """One controlled matrix per grid value, in ``spec.mode``."""
-    pi = class_proportions(spec.k, spec.p)
-    out = []
-    for c in spec.grid:
-        out.append(series_matrix(pi, c, spec.mode))
-    return out
 
 
 def _series_rates(k: int, c: np.ndarray, mode: SeriesMode) -> np.ndarray:

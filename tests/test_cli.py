@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from confmeasures.cli import main
 from confmeasures.matrixio import MatrixDocument, parse_line_csv, parse_matrix
@@ -414,3 +416,141 @@ class TestSeriesLimits:
         assert err["error"] == "InvalidInput"
         assert err["parameter"] == "step"
         assert err["value"] == 0.3
+
+
+class TestPerfectTable:
+    def test_measure_scores_one(self, tmp_path, capsys):
+        # proportions whose diagonal sums to 1.0000000000000002
+        p = tmp_path / "perfect.csv"
+        p.write_text("\n".join(",".join(str(v) for v in row)
+                               for row in np.diag([10, 18, 33, 29, 10])) + "\n")
+        out = tmp_path / "r.json"
+        assert main(["measure", "--input", str(p), "--counts",
+                     "--output", str(out)]) == 0
+        overall = json.loads(out.read_text())["overall"]
+        for kind in ("osr", "ckc", "spc", "mre"):
+            assert overall[kind] == 1.0
+
+
+def fails_with_one_json_line(capsys, argv) -> dict:
+    """``main(argv)`` returns or exits with status 2 and prints exactly one
+    strict-JSON error line on stderr."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2, argv
+    err = strict_error(capsys)
+    assert isinstance(err["error"], str) and isinstance(err["message"], str)
+    return err
+
+
+BAD_TOKENS = ["abc", "nan", "inf", "-inf", "1e999", "-1", "0x10", "1/2", "--"]
+no_fixture_check = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    """Malformed files and flag values all end in the one-line JSON error."""
+
+    @no_fixture_check
+    @given(k=st.integers(1, 4), data=st.data(),
+           command=st.sampled_from(["measure", "gt"]), counts=st.booleans())
+    def test_matrix_csv(self, tmp_path, capsys, k, data, command, counts):
+        cells = [[data.draw(st.sampled_from(["0", "1", "7", " 2", "0.25"]))
+                  for _ in range(k)] for _ in range(k)]
+        bad = data.draw(st.sampled_from(BAD_TOKENS))
+        cells[data.draw(st.integers(0, k - 1))][
+            data.draw(st.integers(0, k - 1))] = bad
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(",".join(row) for row in cells) + "\n")
+        argv = [command, "--input", str(path)] + (["--counts"] if counts else [])
+        fails_with_one_json_line(capsys, argv)
+
+    @no_fixture_check
+    @given(cell=st.one_of(st.sampled_from([None, True, "0.5", [], {}]),
+                          st.sampled_from([float("nan"), float("inf"), -1.0])),
+           wrap=st.booleans(), counts=st.booleans())
+    def test_matrix_json(self, tmp_path, capsys, cell, wrap, counts):
+        cells = [[1, 0, 0], [0, 1, cell], [0, 0, 1]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"cells": cells} if wrap else cells))
+        argv = ["measure", "--input", str(path)] + (["--counts"] if counts else [])
+        fails_with_one_json_line(capsys, argv)
+
+    @pytest.mark.parametrize("text", ["5", '"x"', "{}", '{"cells": 3}',
+                                      "[[1, 0], [0]]", "[1, 2]", "[[", ""])
+    def test_malformed_json_documents(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        fails_with_one_json_line(capsys, ["measure", "--input", str(path)])
+
+    @no_fixture_check
+    @given(column=st.integers(0, 3), bad=st.sampled_from(
+        [t for t in BAD_TOKENS if t != "-1"] + ["yes", "winner", "", "1,2"]))
+    def test_line_csv(self, tmp_path, capsys, column, bad):
+        record = ["0.5", "0.25", "1", "tie"]
+        if bad == "" and column in (1, 3):
+            bad = "x"  # an empty c_y or a trailing empty token can be valid
+        record[column] = bad
+        path = tmp_path / "l.csv"
+        path.write_text("c_x,c_y,crossing,preference\n0.1,,0,second\n"
+                        + ",".join(record) + "\n")
+        fails_with_one_json_line(capsys, ["plot", "--input", str(path),
+                                          "--svg", str(tmp_path / "x.svg")])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--k", "abc"), ("--k", "1"), ("--k", "-4"), ("--k", "1024"),
+        ("--k", "1000000000"), ("--k", "3.5"), ("--p", "nan"), ("--p", "inf"),
+        ("--p", "-0.1"), ("--p", "1.5"), ("--p", "x"), ("--grid-step", "0"),
+        ("--grid-step", "nan"), ("--grid-step", "-0.25"), ("--grid-step", "2"),
+        ("--grid-step", "0.3"), ("--c-lo", "-0.5"), ("--c-lo", "1"),
+        ("--c-lo", "nan"), ("--c-lo", "x"), ("--bogus", "1"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["discriminate", "--measure", "tpr", "--class", "1"],
+        ["equivalence", "--kinds", "osr,ckc"],
+        ["generate"],
+    ])
+    def test_series_flags(self, tmp_path, capsys, command, flag, value):
+        flags = {"--k": "3", "--p": "0", "--grid-step": "0.25", "--c-lo": "0"}
+        flags[flag] = value
+        argv = command + [tok for item in flags.items() for tok in item]
+        if command[0] == "generate":
+            argv += ["--output", str(tmp_path / "bundle")]
+        fails_with_one_json_line(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["measure"], ["measure", "--input"],
+        ["measure", "--input", "m.csv", "--format", "xml"],
+        ["discriminate", "--measure", "nope", "--k", "3", "--p", "0"],
+        ["discriminate", "--measure", "tpr", "--class", "x", "--k", "3",
+         "--p", "0"],
+        ["discriminate", "--measure", "tpr", "--class", "0", "--k", "3",
+         "--p", "0"],
+        ["discriminate", "--measure", "osr", "--class", "1", "--k", "3",
+         "--p", "0"],
+        ["equivalence", "--kinds", "osr,bogus", "--k", "3", "--p", "0"],
+        ["plot", "--svg", "x.svg"],
+    ])
+    def test_other_flags(self, capsys, argv):
+        fails_with_one_json_line(capsys, argv)
+
+    def test_usage_error_names_the_flag(self, capsys):
+        err = fails_with_one_json_line(
+            capsys, ["discriminate", "--measure", "osr", "--k", "abc",
+                     "--p", "0"])
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "--k"
+        assert "invalid int value: 'abc'" in err["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["measure", "--help"],
+                                      ["--version"]])
+    def test_help_and_version_unchanged(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err

@@ -554,6 +554,18 @@ class TestAgainstPerRowSolver:
     def test_empty_grid(self):
         assert discrimination_line(K.OSR, k=3, p=0.0, grid=[]).rows == ()
 
+    @pytest.mark.parametrize("c_lo,grid", [(-0.5, [0.5]), (1.0, [1.0]),
+                                           (0.9, [0.5]), (0.6, [0.8, 0.59])])
+    def test_c_lo_checked_with_custom_grid(self, c_lo, grid):
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.OSR, k=3, p=0.0, grid=grid, c_lo=c_lo)
+        assert exc.value.parameter == "c_lo"
+        assert exc.value.value == c_lo
+
+    def test_custom_grid_at_c_lo_accepted(self):
+        line = discrimination_line(K.OSR, k=3, p=0.0, grid=[0.6, 1.0], c_lo=0.6)
+        assert [r.c_x for r in line.rows] == [0.6, 1.0]
+
 
 class TestBisectRows:
     """The stacked bisection retires a row at an undefined probe or an exact

@@ -1,4 +1,4 @@
-"""Matrix core: construction, marginals, one-vs-rest decomposition, weighting."""
+"""Matrix core: construction, marginals, one-vs-rest decomposition."""
 
 from __future__ import annotations
 
@@ -9,15 +9,10 @@ from hypothesis import strategies as st
 
 from confmeasures import (
     ConfusionMatrix,
-    DegenerateWeights,
     EmptyMatrix,
     InvalidInput,
-    WeightMatrix,
-    apply_weights,
-    binarize,
     class_counts,
     from_counts,
-    marginals,
 )
 from conftest import FIRST_CLASSIFIER_COUNTS, random_matrix
 
@@ -78,12 +73,6 @@ class TestConstruction:
         cells = np.array([[0.25, 0.25], [0.25, 0.25 + 5e-10]])
         ConfusionMatrix(cells)
 
-    def test_normalize_option(self):
-        m = ConfusionMatrix.from_cells(np.array([[2.0, 1.0], [1.0, 4.0]]),
-                                       normalize=True)
-        assert m.cells.sum() == pytest.approx(1.0)
-        assert m.cells[1, 1] == pytest.approx(0.5)
-
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             ConfusionMatrix(np.array([[0.5, np.nan], [0.25, 0.25]]))
@@ -117,7 +106,7 @@ class TestFromCounts:
 
 class TestMarginals:
     def test_case_study(self, first_classifier):
-        rows, cols = marginals(first_classifier)
+        rows, cols = first_classifier.row_sums(), first_classifier.col_sums()
         assert rows == pytest.approx([0.44, 0.22, 0.34])
         assert cols == pytest.approx([0.33, 0.34, 0.33])
 
@@ -125,7 +114,7 @@ class TestMarginals:
     @settings(max_examples=100)
     def test_both_sum_to_one(self, rows):
         m = normalized(rows)
-        r, c = marginals(m)
+        r, c = m.row_sums(), m.col_sums()
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
         assert c.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -151,72 +140,13 @@ class TestClassCounts:
     @settings(max_examples=100)
     def test_decomposition_identities(self, rows):
         m = normalized(rows)
-        r, c = marginals(m)
+        r, c = m.row_sums(), m.col_sums()
         for i in range(1, m.k + 1):
             b = class_counts(m, i)
             assert b.tp >= 0 and b.fp >= 0 and b.fn >= 0 and b.tn >= 0
             assert b.tp + b.fp + b.fn + b.tn == pytest.approx(1.0, abs=1e-12)
             assert b.tp + b.fn == pytest.approx(c[i - 1], abs=1e-12)
             assert b.tp + b.fp == pytest.approx(r[i - 1], abs=1e-12)
-
-
-class TestBinarize:
-    def test_case_study_class_1(self, first_classifier):
-        b = binarize(first_classifier, 1)
-        assert b.k == 2
-        assert b.cells == pytest.approx(
-            np.array([[0.30, 0.14], [0.03, 0.53]]))
-        assert float(np.trace(b.cells)) == pytest.approx(0.83)
-
-    @given(cells_strategy())
-    @settings(max_examples=100)
-    def test_mass_preserved(self, rows):
-        m = normalized(rows)
-        for i in range(1, m.k + 1):
-            b = binarize(m, i)
-            assert b.cells.sum() == pytest.approx(1.0, abs=1e-12)
-            assert b.cells[0, 0] == pytest.approx(m.cells[i - 1, i - 1],
-                                                  abs=1e-15)
-
-
-class TestApplyWeights:
-    def test_zero_off_diagonal_keeps_normalized_diagonal(self, first_classifier):
-        w = WeightMatrix(np.eye(3))
-        weighted = apply_weights(first_classifier, w)
-        expected = np.diag([0.30, 0.19, 0.30]) / 0.79
-        assert np.allclose(weighted.cells, expected, atol=1e-12)
-
-    def test_all_ones_is_identity(self, first_classifier):
-        w = WeightMatrix(np.ones((3, 3)))
-        weighted = apply_weights(first_classifier, w)
-        assert np.allclose(weighted.cells, first_classifier.cells, atol=1e-15)
-
-    def test_shape_mismatch(self, first_classifier):
-        with pytest.raises(InvalidInput):
-            apply_weights(first_classifier, WeightMatrix(np.ones((4, 4))))
-
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(DegenerateWeights):
-            WeightMatrix(np.zeros((3, 3)))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInput):
-            WeightMatrix(np.array([[1.0, -1.0], [1.0, 1.0]]))
-
-    def test_weights_removing_all_mass(self, perfect):
-        # positive weights only where the matrix has no mass
-        w = np.ones((3, 3)) - np.eye(3)
-        with pytest.raises(DegenerateWeights):
-            apply_weights(perfect, WeightMatrix(w))
-
-    @given(cells_strategy())
-    @settings(max_examples=50)
-    def test_result_is_valid_matrix(self, rows):
-        m = normalized(rows)
-        rng = np.random.default_rng(7)
-        w = WeightMatrix(rng.random((m.k, m.k)) + 0.1)
-        weighted = apply_weights(m, w)
-        assert weighted.cells.sum() == pytest.approx(1.0)
 
 
 def test_random_matrix_helper_is_valid():

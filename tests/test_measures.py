@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confmeasures import (
-    AgreementDecomposition,
     ConfusionMatrix,
     DegenerateChance,
     InvalidInput,
     MeasureKind,
-    agreement,
-    chance_expectation,
     class_measure,
     evaluate,
     evaluate_stack,
@@ -119,32 +116,58 @@ class TestMulticlassExact:
 
 
 class TestAgreement:
-    def test_worked_example(self):
-        a = agreement(AgreementDecomposition(po=0.79, pe=0.3322))
+    AGREEMENT = (K.COHEN_KAPPA, K.SCOTT_PI, K.MAXWELL_RE)
+
+    def test_worked_example(self, first_classifier):
+        # Po 0.79 and Pe 0.3322
+        a = evaluate(first_classifier, K.COHEN_KAPPA).value
         assert a == pytest.approx(0.6855345911949686)
 
     def test_full_agreement(self):
-        assert agreement(AgreementDecomposition(po=1.0, pe=0.5)) == 1.0
+        m = ConfusionMatrix(np.diag([0.5, 0.5]))  # Po 1 and Pe 0.5
+        for kind in self.AGREEMENT:
+            assert evaluate(m, kind).value == 1.0
 
-    def test_below_chance(self):
-        a = agreement(AgreementDecomposition(po=0.0, pe=1 / 3))
+    def test_below_chance(self, cyclic_shift_exact):
+        # Po 0 and Pe 1/3
+        a = evaluate(cyclic_shift_exact, K.MAXWELL_RE).value
         assert a == pytest.approx(-0.5, abs=1e-12)
 
     def test_degenerate_chance(self):
-        with pytest.raises(DegenerateChance):
-            agreement(AgreementDecomposition(po=1.0, pe=1.0))
+        m = ConfusionMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))  # Pe 1
+        for kind in (K.COHEN_KAPPA, K.SCOTT_PI):
+            with pytest.raises(DegenerateChance):
+                overall_measure(m, kind)
+            _, defined = evaluate_stack(m.cells[None], kind)
+            assert defined.tolist() == [False]
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            AgreementDecomposition(po=1.2, pe=0.5)
-        with pytest.raises(InvalidInput):
-            AgreementDecomposition(po=0.5, pe=-0.1)
+    def test_chance_above_one_by_round_off_is_undefined(self):
+        # one true class whose column sums to 1.0000000000000002: Pe of SPC
+        # is 1.0000000000000004
+        counts = np.zeros((4, 4))
+        counts[:, 0] = [2, 4, 3, 1]
+        m = from_counts(counts)
+        assert m.col_sums()[0] > 1.0
+        assert evaluate(m, K.SCOTT_PI).value is None
+        _, defined = evaluate_stack(m.cells[None], K.SCOTT_PI)
+        assert defined.tolist() == [False]
+        assert report(m).multiclass[K.SCOTT_PI].value is None
 
     def test_chance_expectation_terms(self, first_classifier):
         m = first_classifier
-        assert chance_expectation(m, K.COHEN_KAPPA) == pytest.approx(0.3322)
-        assert chance_expectation(m, K.SCOTT_PI) == pytest.approx(0.3334)
-        assert chance_expectation(m, K.MAXWELL_RE) == pytest.approx(1 / 3)
+        for kind, pe in ((K.COHEN_KAPPA, 0.3322), (K.SCOTT_PI, 0.3334),
+                         (K.MAXWELL_RE, 1 / 3)):
+            assert evaluate(m, kind).value == pytest.approx((0.79 - pe) / (1 - pe))
+
+    def test_perfect_counts_score_exactly_one(self):
+        # the diagonal of these proportions sums to 1.0000000000000002
+        m = from_counts(np.diag([10, 18, 33, 29, 10]))
+        assert float(np.trace(m.cells)) > 1.0
+        for kind in (K.OSR, *self.AGREEMENT):
+            assert evaluate(m, kind).value == 1.0
+            values, defined = evaluate_stack(m.cells[None], kind)
+            assert defined.tolist() == [True]
+            assert values.tolist() == [1.0]
 
 
 class TestUndefined:
@@ -346,6 +369,22 @@ class TestReport:
         assert rep.multiclass[K.OSR].value == 1.0
         assert "undef" in rep.to_text()
 
+    @given(st.integers(2, 8).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 50), min_size=k, max_size=k),
+        min_size=k, max_size=k)), st.sampled_from(["any", "perfect", "one"]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_count_table_reports(self, rows, shape):
+        counts = np.array(rows)
+        if shape == "perfect":
+            counts = np.diag(np.diag(counts))
+        elif shape == "one":  # a single true class
+            counts[:, 1:] = 0
+        if not counts.any():
+            counts[0, 0] = 1
+        rep = report(from_counts(counts))
+        rep.to_text()
+        rep.to_json_dict()
+
     def test_undefined_cells_render_as_undef(self):
         m = ConfusionMatrix(np.array([[0.5, 0.0], [0.5, 0.0]]))
         text = report(m).to_text()
@@ -380,6 +419,7 @@ class TestEvaluateStack:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
            n=st.integers(1, 6))
+    @example(seed=41, k=6, n=3)  # a perfect member whose trace exceeds 1
     def test_equals_scalar_evaluate_bit_for_bit(self, seed, k, n):
         members = _stack_members(seed, k, n)
         cells = np.stack([m.cells for m in members])

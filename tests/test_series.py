@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmeasures import InvalidInput
-from confmeasures.measures import MeasureKind, overall_measure
+from confmeasures.measures import MeasureKind, evaluate_stack, overall_measure
 from confmeasures.series import (
     MAX_CLASSES,
     ProportionVector,
     SeriesMode,
-    SeriesSpec,
     class_proportions,
     controlled_matrix,
-    make_series,
     series_matrix,
     series_stack,
     uniform_grid,
@@ -161,15 +159,14 @@ class TestUniformGrid:
 
 class TestSeries:
     def test_all_classes_mode_erodes_every_column(self):
-        spec = SeriesSpec(k=3, p=0.0, grid=(0.4,), mode=SeriesMode.ALL_CLASSES)
-        (m,) = make_series(spec)
+        pi = class_proportions(3, 0.0)
+        m = series_matrix(pi, 0.4, SeriesMode.ALL_CLASSES)
         assert overall_measure(m, MeasureKind.OSR).value == pytest.approx(0.4)
+        assert np.diag(m.cells) == pytest.approx(0.4 * pi.pi)
 
     def test_first_class_mode_erodes_only_class_one(self):
-        spec = SeriesSpec(
-            k=3, p=0.0, grid=(0.4,), mode=SeriesMode.FIRST_CLASS_ONLY
-        )
-        (m,) = make_series(spec)
+        m = series_matrix(class_proportions(3, 0.0), 0.4,
+                          SeriesMode.FIRST_CLASS_ONLY)
         # overall accuracy loses only class 1's share of the errors
         assert overall_measure(m, MeasureKind.OSR).value == pytest.approx(0.8)
         cells = np.asarray(m.cells)
@@ -185,47 +182,21 @@ class TestSeries:
 
     def test_series_length_matches_grid(self):
         grid = uniform_grid(step=0.25)
-        spec = SeriesSpec(k=4, p=1.0, grid=grid, mode=SeriesMode.ALL_CLASSES)
-        series = make_series(spec)
-        assert len(series) == len(grid)
-        for m in series:
-            assert m.k == 4
+        for mode in SeriesMode:
+            stack = series_stack(class_proportions(4, 1.0), grid, mode)
+            assert stack.shape == (len(grid), 4, 4)
 
     def test_accuracy_is_monotone_along_series(self):
         grid = uniform_grid(step=0.05)
+        pi = class_proportions(3, 0.5)
         for mode in SeriesMode:
-            spec = SeriesSpec(k=3, p=0.5, grid=grid, mode=mode)
-            values = [
-                overall_measure(m, MeasureKind.OSR).value
-                for m in make_series(spec)
-            ]
-            assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_spec_validation(self):
-        with pytest.raises(InvalidInput):
-            SeriesSpec(k=3, p=0.0, grid=(), mode=SeriesMode.ALL_CLASSES)
-        with pytest.raises(InvalidInput):
-            SeriesSpec(
-                k=3, p=0.0, grid=(0.5, 0.5), mode=SeriesMode.ALL_CLASSES
-            )
-        with pytest.raises(InvalidInput):
-            SeriesSpec(
-                k=3, p=0.0, grid=(0.2, 0.1), mode=SeriesMode.ALL_CLASSES
-            )
-        with pytest.raises(InvalidInput):
-            SeriesSpec(
-                k=3, p=0.0, grid=(0.5, 1.1), mode=SeriesMode.ALL_CLASSES
-            )
-        with pytest.raises(InvalidInput):
-            SeriesSpec(
-                k=3,
-                p=0.0,
-                grid=(0.1, 0.5),
-                mode=SeriesMode.ALL_CLASSES,
-                c_lo=0.2,
-            )
-        with pytest.raises(InvalidInput):
-            SeriesSpec(k=3, p=1.5, grid=(0.5,), mode=SeriesMode.ALL_CLASSES)
+            values, defined = evaluate_stack(series_stack(pi, grid, mode),
+                                             MeasureKind.OSR)
+            assert defined.all()
+            assert (np.diff(values) >= 0).all()
+            scalar = [overall_measure(series_matrix(pi, c, mode),
+                                      MeasureKind.OSR).value for c in grid]
+            assert values.tolist() == scalar
 
 
 class TestSeriesStack:
@@ -263,8 +234,6 @@ class TestClassCeiling:
             class_proportions(k, 0.5)
         assert exc.value.parameter == "k"
         assert exc.value.value == k
-        with pytest.raises(InvalidInput):
-            SeriesSpec(k=k, p=0.5, grid=(0.0, 1.0), mode=SeriesMode.ALL_CLASSES)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_ceiling_itself_is_accepted(self, p):
