@@ -38,12 +38,7 @@ from .gt import (
     fit_quasi_independence,
     gt_index,
 )
-from .matrix import (
-    BinaryCounts,
-    ConfusionMatrix,
-    class_counts,
-    from_counts,
-)
+from .matrix import ConfusionMatrix, from_counts
 from .measures import (
     MeasureKind,
     MeasureReport,
@@ -68,16 +63,15 @@ from .series import (
 )
 
 __all__ = [
-    "BinaryCounts", "ConcordanceResult", "ConfmeasuresError",
-    "ConfusionMatrix", "DegenerateChance", "DiscriminationLine", "EmptyMatrix",
+    "ConcordanceResult", "ConfmeasuresError", "ConfusionMatrix",
+    "DegenerateChance", "DiscriminationLine", "EmptyMatrix",
     "EquivalencePartition", "GtIndexResult", "InsufficientData",
     "InvalidInput", "LineRow", "MeasureKind", "MeasureReport", "MeasureValue",
     "NoConvergence", "NotComparable", "PerfectClassification", "Preference",
     "ProportionVector", "QuasiIndependenceFit", "SeriesMode", "TooFewClasses",
-    "class_counts", "class_measure", "class_proportions", "consistency",
-    "controlled_matrix", "discrimination_line", "equivalence_classes",
-    "evaluate", "evaluate_stack", "fit_quasi_independence", "from_counts",
-    "gt_index", "overall_measure", "parse_kind", "preference", "report",
-    "round_half_up", "series_matrix", "series_pairs", "series_stack",
-    "uniform_grid", "value_range",
+    "class_measure", "class_proportions", "consistency", "controlled_matrix",
+    "discrimination_line", "equivalence_classes", "evaluate", "evaluate_stack",
+    "fit_quasi_independence", "from_counts", "gt_index", "overall_measure",
+    "parse_kind", "preference", "report", "round_half_up", "series_matrix",
+    "series_pairs", "series_stack", "uniform_grid", "value_range",
 ]

@@ -235,14 +235,16 @@ class ConcordanceResult:
         return None if self.total == 0 else self.concordant / self.total
 
 
-def _index_pairs(pairs) -> tuple[list[ConfusionMatrix], np.ndarray]:
-    """Distinct matrices of ``pairs`` and a ``(2, n_pairs)`` slot index.
+def _index_pairs(pairs) -> tuple[list[tuple[list[int], np.ndarray]], np.ndarray]:
+    """Stacks of the distinct matrices of ``pairs``, one per k, each with the
+    slots of its members, and a ``(2, n_pairs)`` slot index.
 
     Matrices are told apart by identity. The list of pairs keeps every
     matrix alive while ids are taken, so a freed id is never reused.
     """
     pairs = list(pairs)
     slots: dict[int, int] = {}
+    by_k: dict[int, list[int]] = {}
     matrices: list[ConfusionMatrix] = []
     index = np.empty((2, len(pairs)), dtype=np.intp)
     for col, (first, second) in enumerate(pairs):
@@ -251,28 +253,26 @@ def _index_pairs(pairs) -> tuple[list[ConfusionMatrix], np.ndarray]:
             if slot is None:
                 slot = slots[id(m)] = len(matrices)
                 matrices.append(m)
+                by_k.setdefault(m.k, []).append(slot)
             index[row, col] = slot
-    return matrices, index
+    return [(group, np.stack([matrices[s].cells for s in group]))
+            for group in by_k.values()], index
 
 
-def _verdicts(kind: MeasureKind, matrices, index: np.ndarray,
+def _verdicts(kind: MeasureKind, stacks, index: np.ndarray,
               class_index: int | None,
               tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair verdict of one kind and where it is defined on both sides.
 
-    ``kind`` is evaluated once per distinct matrix. The verdict is +1 when
-    the first matrix ranks higher, -1 when the second does and 0 for a tie;
-    it is meaningless where the mask is False.
+    ``kind`` is evaluated once on each stack of ``_index_pairs``. The verdict
+    is +1 when the first matrix ranks higher, -1 when the second does and 0
+    for a tie; it is meaningless where the mask is False.
     """
     ci = class_index if kind.class_specific else None
-    values = np.zeros(len(matrices))
-    defined = np.ones(len(matrices), dtype=bool)
-    for slot, m in enumerate(matrices):
-        v = evaluate(m, kind, ci).value
-        if v is None:
-            defined[slot] = False
-        else:
-            values[slot] = v
+    size = sum(len(group) for group, _ in stacks)
+    values, defined = np.zeros(size), np.zeros(size, dtype=bool)
+    for group, cells in stacks:
+        values[group], defined[group] = evaluate_stack(cells, kind, ci)
     a, b = values[index[0]], values[index[1]]
     verdict = ((a > b + tie_tol).astype(np.int8)
                - (b > a + tie_tol).astype(np.int8))
@@ -289,9 +289,9 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
     Pairs where either measure is undefined on either matrix are excluded
     from the total and reported separately.
     """
-    matrices, index = _index_pairs(pairs)
-    va, da = _verdicts(kind_a, matrices, index, class_index, tie_tolerance)
-    vb, db = _verdicts(kind_b, matrices, index, class_index, tie_tolerance)
+    stacks, index = _index_pairs(pairs)
+    va, da = _verdicts(kind_a, stacks, index, class_index, tie_tolerance)
+    vb, db = _verdicts(kind_b, stacks, index, class_index, tie_tolerance)
     both = da & db
     total = int(both.sum())
     return ConcordanceResult(
@@ -328,14 +328,14 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
     pairs = list(pairs)
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
-    matrices, index = _index_pairs(pairs)
+    stacks, index = _index_pairs(pairs)
 
     verdicts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def verdict_of(ix: int) -> tuple[np.ndarray, np.ndarray]:
         # computed on first use, so errors surface in kind-pair order
         if ix not in verdicts:
-            verdicts[ix] = _verdicts(kinds[ix], matrices, index, class_index,
+            verdicts[ix] = _verdicts(kinds[ix], stacks, index, class_index,
                                      tie_tolerance)
         return verdicts[ix]
 
@@ -372,10 +372,16 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 def series_pairs(k: int, p: float, grid_step: float = 0.01,
                  c_lo: float = 0.0, grid=None,
                  ) -> list[tuple[ConfusionMatrix, ConfusionMatrix]]:
-    """Cross product of the two series: every (all-classes, first-class) pair."""
+    """Cross product of the two series: every (all-classes, first-class) pair.
+
+    ``c_lo`` lies in [0, 1), and no value of a given ``grid`` lies below it.
+    """
     pi = class_proportions(k, p)
     if grid is None:
         grid = uniform_grid(step=grid_step, c_lo=c_lo)
+    else:
+        grid = list(grid)
+        _check_c_lo(c_lo, grid)
     xs = [series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid]
     ys = [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid]
     return [(x, y) for x in xs for y in ys]

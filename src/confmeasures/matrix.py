@@ -85,27 +85,6 @@ class ConfusionMatrix:
         return self.cells.sum(axis=0)
 
 
-@dataclasses.dataclass(frozen=True)
-class BinaryCounts:
-    """One-vs-rest decomposition of a single class, as dataset proportions."""
-
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            v = getattr(self, name)
-            if v < 0:
-                raise InvalidInput(f"{name} must be non-negative", parameter=name,
-                                   value=v)
-        total = self.tp + self.fp + self.fn + self.tn
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidInput("binary counts must sum to 1", parameter="total",
-                               value=total)
-
-
 def from_counts(counts) -> ConfusionMatrix:
     """Convert a raw count grid into a joint-proportion matrix.
 
@@ -137,20 +116,3 @@ def _check_class_index(k: int, i: int) -> int:
                            parameter="class_index", value=i)
     return int(i) - 1
 
-
-def class_counts(m: ConfusionMatrix, i: int) -> BinaryCounts:
-    """One-vs-rest proportions for class ``i`` (1-based).
-
-    tp = p_ii, fn = column sum minus tp, fp = row sum minus tp, tn = the rest.
-    Tiny negative residues from float summation are clamped to 0.
-    """
-    ix = _check_class_index(m.k, i)
-    tp = float(m.cells[ix, ix])
-    fn = float(m.col_sums()[ix] - tp)
-    fp = float(m.row_sums()[ix] - tp)
-    tn = 1.0 - tp - fp - fn
-
-    def _clamp(v: float) -> float:
-        return 0.0 if -1e-12 < v < 0.0 else v
-
-    return BinaryCounts(tp=_clamp(tp), fp=_clamp(fp), fn=_clamp(fn), tn=_clamp(tn))

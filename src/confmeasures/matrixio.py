@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import pathlib
 
 import numpy as np
@@ -159,8 +158,9 @@ def _is_number(tok: str) -> bool:
     return True
 
 
-def _is_finite(tok: str) -> bool:
-    return _is_number(tok) and math.isfinite(float(tok))
+def _is_retention(tok: str) -> bool:
+    """A number in [0, 1]; NaN and the infinities are not."""
+    return _is_number(tok) and 0.0 <= float(tok) <= 1.0
 
 
 def write_matrix_csv(m: ConfusionMatrix, path) -> None:
@@ -199,10 +199,10 @@ def parse_line_csv(path) -> list[LineRow]:
             raise InvalidInput(f"row {r}: expected 4 columns",
                                parameter="input", value=str(path))
         c_x, c_y, crossing, pref = (t.strip() for t in record)
-        if not _is_finite(c_x):
-            raise _cell_error(path, r, 1, "not a finite number", c_x)
-        if c_y != "" and not _is_finite(c_y):
-            raise _cell_error(path, r, 2, "not a finite number", c_y)
+        if not _is_retention(c_x):
+            raise _cell_error(path, r, 1, "not a number in [0, 1]", c_x)
+        if c_y != "" and not _is_retention(c_y):
+            raise _cell_error(path, r, 2, "not a number in [0, 1]", c_y)
         if crossing not in ("0", "1"):
             raise _cell_error(path, r, 3, "crossing must be 0 or 1",
                               crossing)

@@ -17,10 +17,11 @@ undefined where Pe >= 1. Po is the trace clipped to at most 1, since cells
 sum to 1 only within ``SUM_TOLERANCE``: a perfect matrix scores exactly 1.
 
 A 0/0 ratio is an explicit Undefined outcome, carried as ``value=None``; it is
-never silently reported as 0 or NaN. ``evaluate_stack`` evaluates one kind on
-an ``(n, k, k)`` stack of matrices and carries Undefined as a boolean mask.
-Both paths read one definition of each formula (``_CLASS_FORMULAS``, ``_csi``,
-``_agreement``), the scalar path with Python floats and the stack with arrays.
+never silently reported as 0 or NaN. ``evaluate_stack`` is the one
+implementation of every measure: it evaluates one kind on an ``(n, k, k)``
+stack of matrices and carries Undefined as a boolean mask. ``evaluate``,
+``class_measure`` and ``overall_measure`` are views of it on a stack of one,
+and ``report`` evaluates each class-specific kind once for all classes.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ import numpy as np
 
 from . import gt
 from .errors import ConfmeasuresError, DegenerateChance, InvalidInput
-from .matrix import (
-    BinaryCounts,
-    ConfusionMatrix,
-    _check_class_index,
-    class_counts,
-)
+from .matrix import ConfusionMatrix, _check_class_index
 
 
 class MeasureKind(enum.Enum):
@@ -138,8 +134,7 @@ def _ppv(tp, fp, fn, tn):
 # Per-class ratio measures: kind -> (ratios, combination). A ratio maps the
 # one-vs-rest counts (tp, fp, fn, tn) to (numerator, denominator); the
 # combination maps the ratio values to the measure, which is undefined where
-# a ratio is 0/0. The scalar path applies them to floats, evaluate_stack to
-# arrays.
+# a ratio is 0/0. They are applied to the (n, k) counts of every class.
 _CLASS_FORMULAS = {
     MeasureKind.TPR: ((_tpr,), None),
     MeasureKind.TNR: ((_tnr,), None),
@@ -154,43 +149,59 @@ _CLASS_FORMULAS = {
 }
 
 
-def _class_value(c: BinaryCounts, kind: MeasureKind) -> tuple[float, bool]:
+def _counts(cells: np.ndarray) -> tuple:
+    """One-vs-rest (tp, fp, fn, tn) of every class, each ``(n, k)``, from an
+    ``(n, k, k)`` stack of valid cells: tp = p_ii, fn = column sum minus tp,
+    fp = row sum minus tp, tn = the rest. fp and fn are sums of non-negative
+    cells; a negative tn is round-off, since cells sum to 1 only within
+    ``SUM_TOLERANCE``, and reads 0."""
+    tp = np.diagonal(cells, axis1=1, axis2=2)
+    fn = cells.sum(axis=1) - tp
+    fp = cells.sum(axis=2) - tp
+    tn = 1.0 - tp - fp - fn
+    return tp, fp, fn, np.where(tn < 0.0, 0.0, tn)
+
+
+def _class_values(cells: np.ndarray, kind: MeasureKind,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, k)`` values of a class-specific kind for every class of every
+    member, and where they are defined. GT runs one quasi-independence fit
+    per member; a failed fit leaves the member undefined."""
+    if kind == MeasureKind.GT_INDEX:
+        values = np.zeros(cells.shape[:2])
+        defined = np.zeros(cells.shape[:2], dtype=bool)
+        for member, row, ok in zip(cells, values, defined):
+            try:
+                theta = gt.gt_index(ConfusionMatrix(member)).theta
+            except ConfmeasuresError:
+                continue
+            ok[:] = [t is not None for t in theta]
+            row[ok] = [t for t in theta if t is not None]
+        return values, defined
     ratios, combine = _CLASS_FORMULAS[kind]
-    parts = []
+    counts = _counts(cells)
+    parts, defined = [], True
     for ratio in ratios:
-        num, den = ratio(c.tp, c.fp, c.fn, c.tn)
-        if den == 0:
-            return 0.0, False
-        parts.append(num / den)
-    return (parts[0] if combine is None else combine(*parts)), True
-
-
-def _csi(icsi, k: int) -> tuple:
-    """CSI, the mean ICSI, and where it is defined: where every class is.
-    ``icsi(ix, defined)`` gives the ICSI of class ``ix`` (0-based) and where
-    it is defined, given ``defined`` of the classes before it: floats and
-    bools on one matrix, where an undefined class ends the sum, or arrays."""
-    total, defined = 0, True
-    for ix in range(k):
-        value, ok = icsi(ix, defined)
+        num, den = ratio(*counts)
+        ok = den != 0
+        parts.append(_divide(num, den, ok))
         defined = defined & ok
-        if defined is False:
-            break
-        total = total + value
-    return total / k, defined
+    return (parts[0] if combine is None else combine(*parts)), defined
 
 
-def _agreement(kind: MeasureKind, po, cells: np.ndarray) -> tuple:
-    """Numerator and denominator of (Po - Pe) / (1 - Pe) on one matrix, ``po``
-    a float, or on an ``(n, k, k)`` stack, ``po`` an array; the coefficient
-    is undefined where the denominator is not positive (Pe >= 1)."""
+def _chance(kind: MeasureKind, cells: np.ndarray) -> np.ndarray:
+    """Pe of an agreement coefficient on each member of an ``(n, k, k)``
+    stack: the dot product of the margins (rows and columns for CKC, columns
+    twice for SPC), or 1/k for MRE."""
     if kind == MeasureKind.MAXWELL_RE:
-        pe = 1.0 / cells.shape[-1]
-    else:
-        cols = cells.sum(axis=-2)
-        rows = cells.sum(axis=-1) if kind == MeasureKind.COHEN_KAPPA else cols
-        pe = np.vecdot(rows, cols)
-    return po - pe, 1.0 - pe
+        return np.full(cells.shape[0], 1.0 / cells.shape[-1])
+    cols = cells.sum(axis=1)
+    rows = cells.sum(axis=2) if kind == MeasureKind.COHEN_KAPPA else cols
+    return np.vecdot(rows, cols)
+
+
+def _divide(num: np.ndarray, den: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(den), where=defined)
 
 
 def class_measure(m: ConfusionMatrix, i: int, kind: MeasureKind) -> MeasureValue:
@@ -201,27 +212,22 @@ def class_measure(m: ConfusionMatrix, i: int, kind: MeasureKind) -> MeasureValue
             "overall_measure or the quasi-independence fit",
             parameter="kind", value=kind.short_name,
         )
-    value, defined = _class_value(class_counts(m, i), kind)
-    return MeasureValue(kind, value if defined else None, class_index=i)
+    return evaluate(m, kind, i)
 
 
 def overall_measure(m: ConfusionMatrix, kind: MeasureKind) -> MeasureValue:
-    """Evaluate a multiclass measure (OSR, CSI, or an agreement coefficient)."""
-    if kind == MeasureKind.CSI:
-        value, defined = _csi(lambda ix, _: _class_value(
-            class_counts(m, ix + 1), MeasureKind.ICSI), m.k)
-        return MeasureValue(kind, value if defined else None)
-    po = min(float(np.trace(m.cells)), 1.0)
-    if kind == MeasureKind.OSR:
-        return MeasureValue(kind, po)
+    """Evaluate a multiclass measure (OSR, CSI, or an agreement coefficient).
+    An undefined CSI is returned as such; an agreement coefficient with
+    Pe >= 1 raises ``DegenerateChance``."""
     if kind.class_specific:
         raise InvalidInput(f"{kind.short_name} is not a multiclass measure",
                            parameter="kind", value=kind.short_name)
-    num, den = _agreement(kind, po, m.cells)
-    if den <= 0.0:
+    value = evaluate(m, kind)
+    if not value.defined and kind != MeasureKind.CSI:
         raise DegenerateChance("chance agreement is 1, correction undefined",
-                               parameter="pe", value=float(1.0 - den))
-    return MeasureValue(kind, float(num / den))
+                               parameter="pe",
+                               value=float(_chance(kind, m.cells[None])[0]))
+    return value
 
 
 def _class_specific(kind: MeasureKind, class_index: int | None) -> bool:
@@ -240,101 +246,41 @@ def _class_specific(kind: MeasureKind, class_index: int | None) -> bool:
 
 def evaluate(m: ConfusionMatrix, kind: MeasureKind,
              class_index: int | None = None) -> MeasureValue:
-    """Uniform dispatcher over every cataloged kind.
-
-    Class-specific kinds need ``class_index``; the GT index routes through the
-    quasi-independence fit and maps fit failures to Undefined.
-    """
-    if _class_specific(kind, class_index):
-        if kind == MeasureKind.GT_INDEX:
-            return _gt_value(m, class_index)
-        return class_measure(m, class_index, kind)
-    try:
-        return overall_measure(m, kind)
-    except DegenerateChance:
-        return MeasureValue(kind, None)
-
-
-def _gt_value(m: ConfusionMatrix, class_index: int) -> MeasureValue:
-    ix = _check_class_index(m.k, class_index)
-    try:
-        res = gt.gt_index(m)
-    except ConfmeasuresError:
-        return MeasureValue(MeasureKind.GT_INDEX, None, class_index=class_index)
-    return MeasureValue(MeasureKind.GT_INDEX, res.theta[ix],
+    """Uniform dispatcher over every cataloged kind: ``evaluate_stack`` on a
+    stack of one. Class-specific kinds need ``class_index``; GT fit failures
+    and Pe >= 1 are Undefined."""
+    values, defined = evaluate_stack(m.cells[None], kind, class_index)
+    return MeasureValue(kind, float(values[0]) if defined[0] else None,
                         class_index=class_index)
 
 
 def evaluate_stack(cells: np.ndarray, kind: MeasureKind,
                    class_index: int | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate`` on every member of an ``(n, k, k)`` stack of valid cells.
+    """Evaluate one kind on every member of an ``(n, k, k)`` stack of valid
+    cells; the one implementation of every measure.
 
-    Returns ``(values, defined)``. Where ``defined[i]`` is True, ``values[i]``
-    equals ``evaluate(ConfusionMatrix(cells[i]), kind, class_index).value``
-    bit for bit; where it is False the measure is undefined there and
-    ``values[i]`` means nothing. Arguments are checked, and errors raised, as
-    ``evaluate`` does; the cells are taken as valid and not checked again.
-    The GT index runs one quasi-independence fit per member.
+    Returns ``(values, defined)``. Where ``defined[i]`` is False the measure
+    is undefined on member ``i`` and ``values[i]`` means nothing. Arguments
+    are checked before any work; the cells are taken as valid and not
+    checked again. The GT index runs one quasi-independence fit per member.
     """
-    class_specific = _class_specific(kind, class_index)
-    n, k = cells.shape[0], cells.shape[-1]
-    if kind == MeasureKind.GT_INDEX:
-        _check_class_index(k, class_index)
-        theta = [_gt_value(ConfusionMatrix(m), class_index).value for m in cells]
-        defined = np.array([t is not None for t in theta], dtype=bool)
-        values = np.array([0.0 if t is None else t for t in theta], dtype=float)
-        return values, defined
-    if class_specific or kind == MeasureKind.CSI:
-        rows, cols = cells.sum(axis=2), cells.sum(axis=1)
-        if class_specific:
-            counts = _stack_counts(cells, rows, cols,
-                                   _check_class_index(k, class_index))
-            return _stack_class_value(counts, kind)
-        return _csi(lambda ix, where: _stack_class_value(
-            _stack_counts(cells, rows, cols, ix, where), MeasureKind.ICSI), k)
+    k = cells.shape[-1]
+    if _class_specific(kind, class_index):
+        ix = _check_class_index(k, class_index)
+        values, defined = _class_values(cells, kind)
+        return values[:, ix], defined[:, ix]
+    if kind == MeasureKind.CSI:
+        icsi, defined = _class_values(cells, MeasureKind.ICSI)
+        # summed in class order: a pairwise sum changes the bits at k >= 8
+        return sum(icsi.T) / k, defined.all(axis=1)
     po = np.minimum(np.trace(cells, axis1=1, axis2=2), 1.0)
     if kind == MeasureKind.OSR:
-        return po, np.ones(n, dtype=bool)
-    num, den = _agreement(kind, po, cells)
-    den = np.full(n, den)  # a float for MRE
+        return po, np.ones(po.shape, dtype=bool)
+    pe = _chance(kind, cells)
+    den = 1.0 - pe
     defined = den > 0.0
-    return _divide(num, den, defined), defined
-
-
-def _divide(num: np.ndarray, den: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    return np.divide(num, den, out=np.zeros_like(den), where=defined)
-
-
-def _stack_counts(cells: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  ix: int, where=True) -> tuple:
-    """(tp, fp, fn, tn) arrays of class ``ix`` (0-based), as ``class_counts``
-    computes them; members in ``where`` are checked as ``BinaryCounts``."""
-    tp = cells[:, ix, ix]
-    fn = cols[:, ix] - tp
-    fp = rows[:, ix] - tp
-    tn = 1.0 - tp - fp - fn
-    tp, fp, fn, tn = (np.where((-1e-12 < v) & (v < 0.0), 0.0, v)
-                      for v in (tp, fp, fn, tn))
-    bad = ((tp < 0) | (fp < 0) | (fn < 0) | (tn < 0)
-           | (np.abs(tp + fp + fn + tn - 1.0) > 1e-9)) & where
-    if bad.any():
-        i = int(bad.argmax())
-        BinaryCounts(tp=float(tp[i]), fp=float(fp[i]), fn=float(fn[i]),
-                     tn=float(tn[i]))
-    return tp, fp, fn, tn
-
-
-def _stack_class_value(counts: tuple, kind: MeasureKind,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    ratios, combine = _CLASS_FORMULAS[kind]
-    parts, defined = [], np.ones(len(counts[0]), dtype=bool)
-    for ratio in ratios:
-        num, den = ratio(*counts)
-        ok = den != 0
-        parts.append(_divide(num, den, ok))
-        defined &= ok
-    return (parts[0] if combine is None else combine(*parts)), defined
+    return _divide(po - pe, den, defined), defined
 
 
 def round_half_up(x: float, places: int = 2) -> float:
@@ -391,9 +337,17 @@ def _fmt(v: MeasureValue) -> str:
 
 
 def report(m: ConfusionMatrix) -> MeasureReport:
-    """Evaluate the whole catalog on one matrix."""
-    per_class = {kind: tuple(evaluate(m, kind, i) for i in range(1, m.k + 1))
-                 for kind in MeasureKind if kind.class_specific}
+    """Evaluate the whole catalog on one matrix: each class-specific kind
+    once for all classes (so GT is fitted once), each multiclass kind
+    through ``evaluate``."""
+    per_class = {}
+    for kind in MeasureKind:
+        if kind.class_specific:
+            values, defined = _class_values(m.cells[None], kind)
+            per_class[kind] = tuple(
+                MeasureValue(kind, v if ok else None, class_index=i)
+                for i, (v, ok) in enumerate(zip(values[0].tolist(),
+                                                defined[0].tolist()), start=1))
     multiclass = {kind: evaluate(m, kind)
                   for kind in MeasureKind if not kind.class_specific}
     return MeasureReport(k=m.k, per_class=per_class, multiclass=multiclass)

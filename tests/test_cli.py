@@ -77,6 +77,18 @@ class TestMeasureCommand:
         assert err["error"] == "InvalidInput"
         assert err["value"] == "nan"
 
+    def test_round_off_negative_tn_is_scored(self, tmp_path, capsys):
+        # always predicts class 1; the cells sum to 1 + 5e-10
+        p = tmp_path / "m.csv"
+        p.write_text("0.5,0.3,0.2000000005\n0,0,0\n0,0,0\n")
+        out_path = tmp_path / "report.json"
+        assert main(["measure", "--input", str(p),
+                     "--output", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["per_class"][0]["tpr"] == 1.0
+        assert doc["per_class"][0]["tnr"] == 0.0
+        assert doc["overall"]["csi"] is None
+
 
 class TestGenerateCommand:
     def test_bundle_layout(self, tmp_path, capsys):
@@ -273,6 +285,8 @@ class TestPlotCommand:
         ("0.5,x1,1,tie", 2, "x1"),
         ("0.5,,yes,second", 3, "yes"),
         ("0.5,,0,winner", 4, "winner"),
+        ("-1,0.25,1,tie", 1, "-1"),
+        ("0.5,2.0,1,tie", 2, "2.0"),
     ])
     def test_bad_token_names_row_and_column(self, tmp_path, capsys, record,
                                             column, token):
@@ -489,7 +503,7 @@ class TestFuzz:
 
     @no_fixture_check
     @given(column=st.integers(0, 3), bad=st.sampled_from(
-        [t for t in BAD_TOKENS if t != "-1"] + ["yes", "winner", "", "1,2"]))
+        BAD_TOKENS + ["yes", "winner", "", "1,2"]))
     def test_line_csv(self, tmp_path, capsys, column, bad):
         record = ["0.5", "0.25", "1", "tie"]
         if bad == "" and column in (1, 3):

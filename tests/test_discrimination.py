@@ -314,6 +314,17 @@ class TestSeriesPairs:
         pairs = series_pairs(k=4, p=1.0, grid=(0.5, 1.0))
         assert len(pairs) == 4
 
+    @pytest.mark.parametrize("c_lo", [-0.5, 0.9, 1.0])
+    def test_c_lo_checked_with_custom_grid(self, c_lo):
+        with pytest.raises(InvalidInput) as exc:
+            series_pairs(3, 0.0, grid=[0.5], c_lo=c_lo)
+        assert exc.value.parameter == "c_lo"
+        assert exc.value.value == c_lo
+
+    def test_grid_from_generator(self):
+        pairs = series_pairs(3, 0.0, grid=(c for c in (0.5, 1.0)))
+        assert len(pairs) == 4
+
 
 def fresh_series_pairs(k, p, grid):
     """Series pairs built on the fly; each pair is freed once consumed."""
@@ -440,6 +451,41 @@ class TestAgainstPerPairLoop:
         part = equivalence_classes(kinds, source, class_index=1)
         assert part.groups == expected
         assert part.pairs_compared == len(pairs)
+
+
+@st.composite
+def mixed_k_pair_lists(draw):
+    """Pairs over a pool of matrices with k in 2..4, within and across k."""
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        k = draw(st.integers(min_value=2, max_value=4))
+        counts = np.array(draw(st.lists(st.integers(0, 3), min_size=k * k,
+                                        max_size=k * k)), dtype=float)
+        counts = counts.reshape(k, k)
+        if counts.sum() == 0:
+            counts[0, 0] = 1.0
+        pool.append(ConfusionMatrix(counts / counts.sum()))
+    slot = st.integers(min_value=0, max_value=len(pool) - 1)
+    index = draw(st.lists(st.tuples(slot, slot), max_size=10))
+    return [(pool[a], pool[b]) for a, b in index]
+
+
+class TestMixedK:
+    @given(mixed_k_pair_lists(), st.sampled_from(PROPERTY_KINDS),
+           st.sampled_from(PROPERTY_KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_consistency(self, pairs, kind_a, kind_b):
+        res = consistency(kind_a, kind_b, pairs, class_index=2)
+        assert ((res.total, res.concordant, res.excluded)
+                == brute_consistency(kind_a, kind_b, pairs, 2))
+
+    def test_class_index_checked_on_every_k(self):
+        pairs = series_pairs(4, 0.0, grid_step=0.5) + series_pairs(
+            3, 0.0, grid_step=0.5)
+        with pytest.raises(InvalidInput) as exc:
+            consistency(K.TPR, K.PPV, pairs, class_index=4)
+        assert exc.value.value == 4
+        assert "1..3" in str(exc.value)
 
 
 def per_row_line(kind, k, p, class_index, grid, c_lo):

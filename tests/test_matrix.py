@@ -11,7 +11,8 @@ from confmeasures import (
     ConfusionMatrix,
     EmptyMatrix,
     InvalidInput,
-    class_counts,
+    MeasureKind,
+    evaluate,
     from_counts,
 )
 from conftest import FIRST_CLASSIFIER_COUNTS, random_matrix
@@ -120,21 +121,26 @@ class TestMarginals:
 
 
 class TestClassCounts:
+    """The one-vs-rest counts, read back through the ratio measures:
+    TPR = tp / col, PPV = tp / row, TNR = tn / (1 - col), NPV = tn / (1 - row)."""
+
     def test_case_study_class_1(self, first_classifier):
-        c = class_counts(first_classifier, 1)
-        assert c.tp == pytest.approx(0.30)
-        assert c.fp == pytest.approx(0.14)
-        assert c.fn == pytest.approx(0.03)
-        assert c.tn == pytest.approx(0.53)
+        # tp 0.30, fp 0.14, fn 0.03, tn 0.53
+        def value(kind):
+            return evaluate(first_classifier, kind, 1).value
+        assert value(MeasureKind.TPR) == pytest.approx(0.30 / 0.33)
+        assert value(MeasureKind.PPV) == pytest.approx(0.30 / 0.44)
+        assert value(MeasureKind.TNR) == pytest.approx(0.53 / 0.67)
+        assert value(MeasureKind.NPV) == pytest.approx(0.53 / 0.56)
 
     def test_index_out_of_range(self, first_classifier):
         for bad in (0, 4, -1):
             with pytest.raises(InvalidInput):
-                class_counts(first_classifier, bad)
+                evaluate(first_classifier, MeasureKind.TPR, bad)
 
     def test_index_not_integer(self, first_classifier):
         with pytest.raises(InvalidInput):
-            class_counts(first_classifier, 1.5)
+            evaluate(first_classifier, MeasureKind.TPR, 1.5)
 
     @given(cells_strategy())
     @settings(max_examples=100)
@@ -142,11 +148,20 @@ class TestClassCounts:
         m = normalized(rows)
         r, c = m.row_sums(), m.col_sums()
         for i in range(1, m.k + 1):
-            b = class_counts(m, i)
-            assert b.tp >= 0 and b.fp >= 0 and b.fn >= 0 and b.tn >= 0
-            assert b.tp + b.fp + b.fn + b.tn == pytest.approx(1.0, abs=1e-12)
-            assert b.tp + b.fn == pytest.approx(c[i - 1], abs=1e-12)
-            assert b.tp + b.fp == pytest.approx(r[i - 1], abs=1e-12)
+            tpr, ppv, tnr, npv = (evaluate(m, kind, i).value for kind in (
+                MeasureKind.TPR, MeasureKind.PPV, MeasureKind.TNR,
+                MeasureKind.NPV))
+            row, col, tp = r[i - 1], c[i - 1], m.cells[i - 1, i - 1]
+            if tpr is not None and ppv is not None:  # tp from both margins
+                assert tpr * col == pytest.approx(tp, abs=1e-12)
+                assert ppv * row == pytest.approx(tp, abs=1e-12)
+            if tnr is not None and npv is not None:  # tn from both margins
+                tn = tnr * (1 - col)
+                assert tn == pytest.approx(npv * (1 - row), abs=1e-12)
+                # tp + fp + fn + tn = 1, with fp = row - tp, fn = col - tp
+                assert row + col - tp + tn == pytest.approx(1.0, abs=1e-12)
+            for v in (tpr, ppv, tnr, npv):
+                assert v is None or 0.0 <= v <= 1.0
 
 
 def test_random_matrix_helper_is_valid():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from confmeasures import (
     round_half_up,
     value_range,
 )
+from confmeasures import gt
 from conftest import random_matrix, random_matrix_with_columns
 
 K = MeasureKind
@@ -198,6 +201,30 @@ class TestUndefined:
     def test_evaluate_maps_degenerate_chance_to_undefined(self):
         m = ConfusionMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert not evaluate(m, K.COHEN_KAPPA).defined
+
+
+# Always predicts class 1; the cells sum to 1 + 5e-10, within SUM_TOLERANCE,
+# so tn of class 1 comes out as -5e-10.
+ROUND_OFF_TN_CELLS = [[0.5, 0.3, 0.2000000005], [0, 0, 0], [0, 0, 0]]
+
+
+class TestRoundOffCounts:
+    def test_evaluate(self):
+        m = ConfusionMatrix(np.array(ROUND_OFF_TN_CELLS))
+        assert evaluate(m, K.TPR, 1).value == 1.0
+        assert evaluate(m, K.TNR, 1).value == 0.0
+        assert evaluate(m, K.NPV, 1).value is None  # tn + fn = 0
+        assert evaluate(m, K.CSI).value is None  # classes 2 and 3 unpredicted
+
+    def test_evaluate_stack(self):
+        values, defined = evaluate_stack(np.array([ROUND_OFF_TN_CELLS]), K.TPR, 1)
+        assert values.tolist() == [1.0]
+        assert defined.tolist() == [True]
+
+    def test_report(self):
+        rep = report(ConfusionMatrix(np.array(ROUND_OFF_TN_CELLS)))
+        assert rep.per_class[K.TPR][0].value == 1.0
+        assert rep.multiclass[K.OSR].value == 0.5
 
 
 class TestDispatch:
@@ -385,6 +412,15 @@ class TestReport:
         rep.to_text()
         rep.to_json_dict()
 
+    def test_fits_gt_once(self, first_classifier, monkeypatch):
+        fits = []
+        fit = gt.gt_index
+        monkeypatch.setattr(gt, "gt_index", lambda m: fits.append(m) or fit(m))
+        rep = report(first_classifier)
+        assert len(fits) == 1
+        assert tuple(v.value for v in rep.per_class[K.GT_INDEX]) == \
+            fit(first_classifier).theta
+
     def test_undefined_cells_render_as_undef(self):
         m = ConfusionMatrix(np.array([[0.5, 0.0], [0.5, 0.0]]))
         text = report(m).to_text()
@@ -415,23 +451,150 @@ def _same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def _ref_sum(xs) -> float:
+    """Left-to-right sum, the order numpy takes below 8 terms."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _ref_dot(xs, ys, fused: bool) -> float:
+    """Left-to-right dot product; a BLAS dot may round each multiply-add
+    once (``fused``) or twice."""
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total = (float(Fraction(x) * Fraction(y) + Fraction(total)) if fused
+                 else total + x * y)
+    return total
+
+
+def _ref_ratio(num: float, den: float) -> float | None:
+    return None if den == 0 else num / den
+
+
+def _ref_class(cells, rows, cols, i: int, kind: MeasureKind) -> float | None:
+    """A per-class ratio measure of class ``i`` (0-based) from the
+    one-vs-rest counts; a negative tn is round-off and reads 0."""
+    tp = cells[i][i]
+    fn, fp = cols[i] - tp, rows[i] - tp
+    tn = max(1.0 - tp - fp - fn, 0.0)
+    tpr, ppv, tnr = _ref_ratio(tp, tp + fn), _ref_ratio(tp, tp + fp), \
+        _ref_ratio(tn, tn + fp)
+    both = tpr is not None and ppv is not None
+    return {
+        K.TPR: tpr, K.TNR: tnr, K.PPV: ppv, K.NPV: _ref_ratio(tn, tn + fn),
+        K.FPR: None if tnr is None else 1.0 - tnr,
+        K.F_MEASURE: _ref_ratio(2 * tp, 2 * tp + fn + fp),
+        K.JCC: _ref_ratio(tp, tp + fp + fn),
+        K.ICSI: ppv + tpr - 1.0 if both else None,
+        K.KULCZYNSKI: (ppv + tpr) / 2.0 if both else None,
+    }[kind]
+
+
+def _ref_margin_update(target, other):
+    """new_i = target_i / sum_{j != i} other_j, 0 for a zero denominator;
+    None where a nonzero margin meets a zero denominator."""
+    total = _ref_sum(other)
+    out = []
+    for t, o in zip(target, other):
+        den = total - o
+        if den <= 0 and t > 0:
+            return None
+        out.append(t / den if den > 0 else 0.0)
+    return out
+
+
+def _ref_gt(cells, cols) -> list[float | None]:
+    """GT index of every class: theta_i = (TPR_i - a_i) / (1 - a_i) with a
+    from the quasi-independence fit p_ij = a_i b_j (i != j), margins
+    matched alternately from a_i = 1/k; undefined for k < 3, a perfect
+    matrix, a failed fit or a_i = 1."""
+    k = len(cells)
+    off = [[0.0 if i == j else cells[i][j] for j in range(k)]
+           for i in range(k)]
+    if k < 3 or not any(v > 0 for row in off for v in row):
+        return [None] * k
+    off_rows = [_ref_sum(row) for row in off]
+    off_cols = [_ref_sum(row[j] for row in off) for j in range(k)]
+    a, b = [1.0 / k] * k, off_cols
+    for _ in range(1000):
+        new_a = _ref_margin_update(off_rows, b)
+        new_b = new_a and _ref_margin_update(off_cols, new_a)
+        if new_b is None:
+            return [None] * k
+        delta = max(abs(x - y) for x, y in zip(new_a + new_b, a + b))
+        a, b = new_a, new_b
+        if delta < 1e-10:
+            break
+    else:
+        return [None] * k
+    total = _ref_sum(a)
+    a = [x / total for x in a]
+    if max(a) >= 1.0:
+        return [None] * k
+    return [None if cols[i] == 0 else (cells[i][i] / cols[i] - a[i]) / (1.0 - a[i])
+            for i in range(k)]
+
+
+def reference(cells, kind: MeasureKind, class_index: int | None,
+              fused: bool) -> float | None:
+    """The paper's formulas on one matrix (nested lists) in plain Python
+    floats, None where undefined; independent of the package's code.
+    ``fused`` picks the rounding of the dot product in CKC and SPC."""
+    k = len(cells)
+    rows = [_ref_sum(row) for row in cells]
+    cols = [_ref_sum(row[j] for row in cells) for j in range(k)]
+    if kind == K.GT_INDEX:
+        return _ref_gt(cells, cols)[class_index - 1]
+    if kind.class_specific:
+        return _ref_class(cells, rows, cols, class_index - 1, kind)
+    if kind == K.CSI:
+        icsi = [_ref_class(cells, rows, cols, i, K.ICSI) for i in range(k)]
+        return None if None in icsi else _ref_sum(icsi) / k
+    po = min(_ref_sum(cells[i][i] for i in range(k)), 1.0)
+    if kind == K.OSR:
+        return po
+    pe = {K.MAXWELL_RE: 1.0 / k,
+          K.COHEN_KAPPA: _ref_dot(rows, cols, fused),
+          K.SCOTT_PI: _ref_dot(cols, cols, fused)}[kind]
+    return None if pe >= 1.0 else (po - pe) / (1.0 - pe)
+
+
+def _same_value(a: float | None, b: float | None) -> bool:
+    return a is b is None or (a is not None and b is not None
+                              and _same_bits(a, b))
+
+
 class TestEvaluateStack:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
            n=st.integers(1, 6))
     @example(seed=41, k=6, n=3)  # a perfect member whose trace exceeds 1
-    def test_equals_scalar_evaluate_bit_for_bit(self, seed, k, n):
+    def test_equals_reference_bit_for_bit(self, seed, k, n):
         members = _stack_members(seed, k, n)
         cells = np.stack([m.cells for m in members])
         for kind in K:
             for ci in (range(1, k + 1) if kind.class_specific else [None]):
                 values, defined = evaluate_stack(cells, kind, ci)
                 assert values.shape == defined.shape == (n,)
-                for m, value, ok in zip(members, values, defined):
-                    expected = evaluate(m, kind, ci).value
-                    assert ok == (expected is not None), (kind, ci)
-                    if ok:
-                        assert _same_bits(value, expected), (kind, ci)
+                for m, value, ok in zip(members, values.tolist(),
+                                        defined.tolist()):
+                    got = value if ok else None
+                    assert any(_same_value(got, reference(
+                        m.cells.tolist(), kind, ci, fused))
+                        for fused in (False, True)), (kind, ci)
+                    # evaluate is the same value on a stack of one
+                    assert _same_value(evaluate(m, kind, ci).value, got)
+
+    def test_csi_sums_classes_in_order(self):
+        # at k >= 8 a pairwise sum would round differently
+        rng = np.random.default_rng(5)
+        members = [random_matrix(rng, k=int(rng.integers(8, 13)), positive=True)
+                   for _ in range(50)]
+        for m in members:
+            icsi = [evaluate(m, K.ICSI, i).value for i in range(1, m.k + 1)]
+            assert _same_bits(evaluate(m, K.CSI).value, _ref_sum(icsi) / m.k)
 
     def test_undefined_is_a_mask(self):
         cells = np.stack([np.diag([0.5, 0.5, 0.0]), np.full((3, 3), 1 / 9)])
