@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidInput, NotComparable
-from .matrix import ConfusionMatrix
+from .matrix import ConfusionMatrix, _check_class_index
 from .measures import MeasureKind, evaluate, evaluate_stack
 from .series import (
     SeriesMode,
@@ -36,6 +37,19 @@ _SCAN_SAMPLES = 32
 _BISECT_ITERATIONS = 60
 # cells per stack: a line over a grid of large matrices is solved in chunks
 _STACK_CELLS = 1 << 20
+
+
+def _grid(grid, grid_step: float | None, c_lo: float) -> list | tuple:
+    """A given ``grid`` read once and checked against ``c_lo``, or else the
+    uniform grid of ``grid_step`` (0.01 when None) over [c_lo, 1]."""
+    if grid is None:
+        return uniform_grid(0.01 if grid_step is None else grid_step, c_lo)
+    if grid_step is not None:
+        raise InvalidInput("grid_step cannot be given with a grid",
+                           parameter="grid_step", value=grid_step)
+    grid = list(grid)
+    _check_c_lo(c_lo, grid)
+    return grid
 
 
 class Preference(enum.Enum):
@@ -98,7 +112,7 @@ class DiscriminationLine:
 
 def discrimination_line(kind: MeasureKind, k: int, p: float,
                         class_index: int | None = None,
-                        grid_step: float = 0.01, c_lo: float = 0.0,
+                        grid_step: float | None = None, c_lo: float = 0.0,
                         grid=None,
                         tie_tolerance: float = TIE_TOLERANCE,
                         ) -> DiscriminationLine:
@@ -112,16 +126,12 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     than ``tie_tolerance`` on one side of its target has no crossing;
     otherwise its first sign change in scan order is bisected for 60 steps,
     every such row in the same stacked probe. A row has no verdict where its
-    target, a scan point or one of its probes is undefined. ``c_lo`` lies in
-    [0, 1), as for ``uniform_grid``, and no value of a given ``grid`` lies
-    below it.
+    target, a scan point or one of its probes is undefined. ``grid_step``
+    (0.01 when None) and ``grid`` exclude each other; ``c_lo`` lies in
+    [0, 1), and no value of a given ``grid`` lies below it.
     """
     pi = class_proportions(k, p)
-    if grid is None:
-        grid = uniform_grid(step=grid_step, c_lo=c_lo)
-    else:
-        grid = list(grid)
-        _check_c_lo(c_lo, grid)
+    grid = _grid(grid, grid_step, c_lo)
 
     def measure_on(mode: SeriesMode, c) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(c, dtype=float)
@@ -235,28 +245,60 @@ class ConcordanceResult:
         return None if self.total == 0 else self.concordant / self.total
 
 
-def _index_pairs(pairs) -> tuple[list[tuple[list[int], np.ndarray]], np.ndarray]:
-    """Stacks of the distinct matrices of ``pairs``, one per k, each with the
-    slots of its members, and a ``(2, n_pairs)`` slot index.
+class _SeriesPairs(tuple):
+    """The pairs ``(xs[i], ys[j])`` at items ``i * len(ys) + j``, keeping
+    ``members = (xs, ys)``; ``+`` and slices give plain tuples."""
 
-    Matrices are told apart by identity. The list of pairs keeps every
-    matrix alive while ids are taken, so a freed id is never reused.
+    def __new__(cls, xs, ys):
+        self = super().__new__(cls, itertools.product(xs, ys))
+        object.__setattr__(self, "members", (tuple(xs), tuple(ys)))
+        return self
+
+    def __getnewargs__(self):
+        return self.members
+
+    def __setattr__(self, *args):
+        raise AttributeError("a series pair set cannot be changed")
+
+    __delattr__ = __setattr__
+
+
+def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
+    """Stacks of the distinct matrices of ``pairs``, one per k, each with the
+    slots of its members, and a ``(2, n_pairs)`` slot index; a given
+    ``class_index`` is checked against the k of every stack.
+
+    A series pair set is indexed as the outer product of its members. Other
+    matrices are told apart by identity; the list of pairs keeps them alive
+    while ids are taken, so a freed id is never reused.
     """
-    pairs = list(pairs)
-    slots: dict[int, int] = {}
-    by_k: dict[int, list[int]] = {}
-    matrices: list[ConfusionMatrix] = []
-    index = np.empty((2, len(pairs)), dtype=np.intp)
-    for col, (first, second) in enumerate(pairs):
-        for row, m in enumerate((first, second)):
-            slot = slots.get(id(m))
-            if slot is None:
-                slot = slots[id(m)] = len(matrices)
-                matrices.append(m)
-                by_k.setdefault(m.k, []).append(slot)
-            index[row, col] = slot
-    return [(group, np.stack([matrices[s].cells for s in group]))
-            for group in by_k.values()], index
+    if isinstance(pairs, _SeriesPairs):
+        xs, ys = pairs.members
+        matrices = xs + ys
+        index = np.stack([np.repeat(np.arange(len(xs)), len(ys)),
+                          np.tile(np.arange(len(xs), len(matrices)), len(xs))])
+        groups = [np.arange(len(matrices))] if matrices else []
+    else:
+        pairs = list(pairs)
+        slots: dict[int, int] = {}
+        by_k: dict[int, list[int]] = {}
+        matrices = []
+        index = np.empty((2, len(pairs)), dtype=np.intp)
+        for col, (first, second) in enumerate(pairs):
+            for row, m in enumerate((first, second)):
+                slot = slots.get(id(m))
+                if slot is None:
+                    slot = slots[id(m)] = len(matrices)
+                    matrices.append(m)
+                    by_k.setdefault(m.k, []).append(slot)
+                index[row, col] = slot
+        groups = list(by_k.values())
+    stacks = [(group, np.stack([matrices[s].cells for s in group]))
+              for group in groups]
+    if class_index is not None:
+        for _, cells in stacks:
+            _check_class_index(cells.shape[-1], class_index)
+    return stacks, index
 
 
 def _verdicts(kind: MeasureKind, stacks, index: np.ndarray,
@@ -285,11 +327,13 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
     """Count pairs on which the two measures issue the same verdict.
 
     ``pairs`` is any iterable of (first, second) ConfusionMatrix tuples,
-    generators included; each kind is evaluated once per distinct matrix.
-    Pairs where either measure is undefined on either matrix are excluded
-    from the total and reported separately.
+    generators included; a ``series_pairs`` result is indexed as the outer
+    product of its members. Each kind is evaluated once per distinct matrix,
+    and ``class_index`` is checked against every k, also for multiclass
+    kinds. Pairs where either measure is undefined on either matrix are
+    excluded from the total and reported separately.
     """
-    stacks, index = _index_pairs(pairs)
+    stacks, index = _index_pairs(pairs, class_index)
     va, da = _verdicts(kind_a, stacks, index, class_index, tie_tolerance)
     vb, db = _verdicts(kind_b, stacks, index, class_index, tie_tolerance)
     both = da & db
@@ -316,19 +360,17 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 
     Kinds land in the same group when their pairwise concordance fraction is
     exactly 1.0; the relation is closed transitively. A single kind forms its
-    own group without needing any pairs. ``pairs`` is any iterable of
-    (first, second) tuples, generators included; each kind is evaluated once
-    per distinct matrix, and the verdict vectors of two kinds are compared
-    where both are defined.
+    own group without comparing any pairs. ``pairs`` and ``class_index``
+    are as for ``consistency``, and the verdict vectors of two kinds are
+    compared where both are defined.
     """
     kinds = list(dict.fromkeys(kinds))
     if not kinds:
         raise InvalidInput("need at least one measure kind", parameter="kinds",
                            value=kinds)
-    pairs = list(pairs)
+    stacks, index = _index_pairs(pairs, class_index)
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
-    stacks, index = _index_pairs(pairs)
 
     verdicts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -356,7 +398,7 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
                 raise InsufficientData(
                     f"no comparable pairs for {kinds[ia].short_name} vs "
                     f"{kinds[ib].short_name}",
-                    parameter="pairs", value=len(pairs),
+                    parameter="pairs", value=index.shape[1],
                 )
             if (va == vb)[both].all():
                 parent[find(ia)] = find(ib)
@@ -366,22 +408,20 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
         grouped.setdefault(find(ix), []).append(kind)
     groups = sorted(grouped.values(), key=lambda g: kinds.index(g[0]))
     return EquivalencePartition(groups=tuple(tuple(g) for g in groups),
-                                pairs_compared=len(pairs))
+                                pairs_compared=index.shape[1])
 
 
-def series_pairs(k: int, p: float, grid_step: float = 0.01,
+def series_pairs(k: int, p: float, grid_step: float | None = None,
                  c_lo: float = 0.0, grid=None,
-                 ) -> list[tuple[ConfusionMatrix, ConfusionMatrix]]:
+                 ) -> tuple[tuple[ConfusionMatrix, ConfusionMatrix], ...]:
     """Cross product of the two series: every (all-classes, first-class) pair.
 
-    ``c_lo`` lies in [0, 1), and no value of a given ``grid`` lies below it.
+    An immutable tuple: item ``i * n + j`` pairs the first series at
+    ``grid[i]`` with the second at ``grid[j]``. Partitions index it as the
+    outer product of its two member lists; the grid is as for a line.
     """
     pi = class_proportions(k, p)
-    if grid is None:
-        grid = uniform_grid(step=grid_step, c_lo=c_lo)
-    else:
-        grid = list(grid)
-        _check_c_lo(c_lo, grid)
-    xs = [series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid]
-    ys = [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid]
-    return [(x, y) for x in xs for y in ys]
+    grid = _grid(grid, grid_step, c_lo)
+    return _SeriesPairs(
+        [series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid],
+        [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid])

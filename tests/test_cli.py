@@ -217,6 +217,19 @@ class TestEquivalenceCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("kinds", ["osr,ckc", "osr"])
+    @pytest.mark.parametrize("class_index", ["7", "0"])
+    def test_unused_class_index_checked(self, kinds, class_index, capsys):
+        code = main([
+            "equivalence", "--kinds", kinds, "--k", "3", "--p", "0",
+            "--grid-step", "0.1", "--class", class_index,
+        ])
+        assert code == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "class_index"
+        assert err["value"] == int(class_index)
+
 
 class TestPlotCommand:
     def make_line_csv(self, tmp_path, name, measure, extra=()):

@@ -1,6 +1,8 @@
 """Tests for discrimination lines, concordance, and equivalence grouping."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from confmeasures.discrimination import (
     LineRow,
     Preference,
     _bisect_rows,
+    _index_pairs,
     consistency,
     discrimination_line,
     equivalence_classes,
@@ -325,6 +328,170 @@ class TestSeriesPairs:
         pairs = series_pairs(3, 0.0, grid=(c for c in (0.5, 1.0)))
         assert len(pairs) == 4
 
+    @pytest.mark.parametrize("grid_step", [7, 0.3, 0.01])
+    def test_grid_step_rejected_beside_grid(self, grid_step):
+        with pytest.raises(InvalidInput) as exc:
+            series_pairs(3, 0.0, grid=[0.5], grid_step=grid_step)
+        assert exc.value.parameter == "grid_step"
+        assert exc.value.value == grid_step
+
+    def test_default_grid_step(self):
+        assert len(series_pairs(3, 0.0)) == 101 * 101
+        assert len(series_pairs(3, 0.0, grid_step=None, c_lo=0.5)) == 51 * 51
+
+
+def pair_set_error(call):
+    """The result of ``call``, or the type, parameter, value and message of
+    the error it raises."""
+    try:
+        return call()
+    except (InvalidInput, InsufficientData) as exc:
+        return type(exc), exc.parameter, exc.value, str(exc)
+
+
+def indexed_cells(pairs):
+    """The cells of the (first, second) matrices that ``_index_pairs``
+    resolves each pair to, through its stacks and slot index."""
+    stacks, index = _index_pairs(pairs, None)
+    cells = {}
+    for group, stack in stacks:
+        cells.update(zip(np.asarray(group).tolist(), stack))
+    assert index.shape == (2, len(pairs))
+    return [(cells[a], cells[b]) for a, b in index.T.tolist()]
+
+
+class TestSeriesPairSet:
+    """``series_pairs`` returns a tuple that partitions index as the outer
+    product of its members; the result must equal that of the same pairs as
+    a list or an iterator, errors included."""
+
+    @given(st.integers(min_value=2, max_value=5),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
+                    max_size=4),
+           st.lists(st.sampled_from(list(K)), min_size=1, max_size=4),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+    @settings(max_examples=120, deadline=None)
+    def test_same_as_list_and_iterator(self, k, p, grid, kinds, class_index):
+        def outcomes(pairs):
+            found = [pair_set_error(
+                lambda: equivalence_classes(kinds, pairs(), class_index))]
+            for kind_a, kind_b in itertools.combinations(kinds, 2):
+                found.append(pair_set_error(lambda: consistency(
+                    kind_a, kind_b, pairs(), class_index)))
+            return found
+
+        pairs = series_pairs(k, p, grid=grid)
+        fast = outcomes(lambda: pairs)
+        assert outcomes(lambda: list(pairs)) == fast
+        assert outcomes(lambda: iter(pairs)) == fast
+
+    @given(st.integers(min_value=2, max_value=5),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
+                    max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_index_resolves_every_pair(self, k, p, grid):
+        pairs = series_pairs(k, p, grid=grid)
+        got = indexed_cells(pairs)
+        assert len(got) == len(grid) ** 2
+        for (first, second), (a, b) in zip(pairs, got):
+            assert np.array_equal(first.cells, a)
+            assert np.array_equal(second.cells, b)
+
+    def test_items_pair_members_by_identity(self):
+        grid = [0.0, 0.5, 0.5, 1.0]
+        pi = class_proportions(3, 0.5)
+        pairs = series_pairs(3, 0.5, grid=grid)
+        n = len(grid)
+        assert len(pairs) == n * n
+        xs = [pairs[i * n][0] for i in range(n)]
+        ys = [pairs[j][1] for j in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            assert pairs[i * n + j][0] is xs[i]
+            assert pairs[i * n + j][1] is ys[j]
+        for c, x, y in zip(grid, xs, ys):
+            assert np.array_equal(
+                x.cells, series_matrix(pi, c, SeriesMode.ALL_CLASSES).cells)
+            assert np.array_equal(
+                y.cells, series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY).cells)
+        assert len({id(m) for m in xs + ys}) == 2 * n
+
+    def test_cannot_be_changed(self):
+        pairs = series_pairs(3, 0.0, grid_step=0.5)
+        first = pairs[0]
+        with pytest.raises(TypeError):
+            pairs[0] = pairs[1]
+        with pytest.raises(TypeError):
+            del pairs[0]
+        with pytest.raises(AttributeError):
+            pairs.append(first)
+        with pytest.raises(AttributeError):
+            pairs.members = ((), ())
+        with pytest.raises(AttributeError):
+            del pairs.members
+        assert pairs[0] is first and len(pairs) == 9
+
+    def test_concatenation_gives_plain_tuple(self):
+        a = series_pairs(3, 0.0, grid_step=0.5)
+        b = series_pairs(3, 0.5, grid_step=0.5)
+        both = a + b
+        assert type(both) is tuple and len(both) == 18
+        assert both == tuple(list(a) + list(b))
+        res = consistency(K.OSR, K.COHEN_KAPPA, both)
+        assert res == consistency(K.OSR, K.COHEN_KAPPA, list(both))
+        assert res.total + res.excluded == 18
+        with pytest.raises(TypeError):
+            [] + a
+
+    def test_copies_keep_the_outer_product(self):
+        pairs = series_pairs(3, 0.5, grid_step=0.25)
+        want = consistency(K.OSR, K.COHEN_KAPPA, pairs)
+        for twin in (copy.copy(pairs), copy.deepcopy(pairs),
+                     pickle.loads(pickle.dumps(pairs))):
+            assert type(twin) is type(pairs) and len(twin) == 25
+            assert twin[6][0] is twin[5][0] and twin[6][1] is twin[1][1]
+            assert consistency(K.OSR, K.COHEN_KAPPA, twin) == want
+
+    def test_empty_grid(self):
+        pairs = series_pairs(3, 0.0, grid=[])
+        assert len(pairs) == 0
+        for source in (pairs, []):
+            with pytest.raises(InsufficientData) as exc:
+                equivalence_classes([K.OSR, K.CSI], source)
+            assert exc.value.value == 0
+            res = consistency(K.OSR, K.CSI, source)
+            assert (res.total, res.concordant, res.excluded) == (0, 0, 0)
+
+
+class TestUnusedClassIndex:
+    """A class index is checked against k also when no kind is
+    class-specific."""
+
+    @pytest.mark.parametrize("class_index", [0, 4, 7, -1, 1.0, True])
+    def test_out_of_range_rejected(self, class_index):
+        pairs = series_pairs(3, 0.0, grid_step=0.1)
+        for call in (
+                lambda: consistency(K.OSR, K.COHEN_KAPPA, pairs,
+                                    class_index=class_index),
+                lambda: equivalence_classes([K.OSR, K.COHEN_KAPPA], pairs,
+                                            class_index=class_index),
+                lambda: equivalence_classes([K.OSR], pairs,
+                                            class_index=class_index),
+                lambda: consistency(K.OSR, K.CSI, list(pairs),
+                                    class_index=class_index)):
+            with pytest.raises(InvalidInput) as exc:
+                call()
+            assert exc.value.parameter == "class_index"
+            assert exc.value.value == class_index
+
+    def test_in_range_accepted(self):
+        pairs = series_pairs(3, 0.0, grid_step=0.1)
+        for class_index in (1, 2, 3):
+            res = consistency(K.OSR, K.COHEN_KAPPA, pairs,
+                              class_index=class_index)
+            assert res == consistency(K.OSR, K.COHEN_KAPPA, pairs)
+
 
 def fresh_series_pairs(k, p, grid):
     """Series pairs built on the fly; each pair is freed once consumed."""
@@ -611,6 +778,17 @@ class TestAgainstPerRowSolver:
     def test_custom_grid_at_c_lo_accepted(self):
         line = discrimination_line(K.OSR, k=3, p=0.0, grid=[0.6, 1.0], c_lo=0.6)
         assert [r.c_x for r in line.rows] == [0.6, 1.0]
+
+    @pytest.mark.parametrize("grid_step", [0.3, 7, 0.01])
+    def test_grid_step_rejected_beside_grid(self, grid_step):
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.OSR, 3, 0.0, grid=[0.5], grid_step=grid_step)
+        assert exc.value.parameter == "grid_step"
+        assert exc.value.value == grid_step
+
+    def test_default_grid_step(self):
+        rows = discrimination_line(K.OSR, 3, 0.0, grid_step=None).rows
+        assert [r.c_x for r in rows] == list(uniform_grid(0.01))
 
 
 class TestBisectRows:
