@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidInput, NotComparable
 from .matrix import ConfusionMatrix, _check_class_index
-from .measures import MeasureKind, evaluate, evaluate_stack
+from .measures import MeasureKind, _class_specific, evaluate, evaluate_stack
 from .series import (
     SeriesMode,
     _check_c_lo,
@@ -369,6 +369,8 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
         raise InvalidInput("need at least one measure kind", parameter="kinds",
                            value=kinds)
     stacks, index = _index_pairs(pairs, class_index)
+    for kind in kinds:  # checked here: a single kind evaluates nothing
+        _class_specific(kind, class_index if kind.class_specific else None)
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
 

@@ -74,7 +74,8 @@ def fit_quasi_independence(m: ConfusionMatrix,
     Starts from a_i = 1/k and b_j = off-diagonal column sum; each iteration
     updates all a_i from the off-diagonal row sums, then all b_j from the
     off-diagonal column sums. Stops when the largest parameter change drops
-    below ``tol``. A zero off-diagonal row or column pins its parameter at 0.
+    below ``tol``. A zero off-diagonal row or column pins its parameter at 0;
+    a nonzero margin whose denominator is 0 raises ``NoConvergence``.
     """
     k = m.k
     if k < 3:
@@ -92,16 +93,15 @@ def fit_quasi_independence(m: ConfusionMatrix,
             parameter="cells", value=0.0,
         )
 
-    a = np.full(k, 1.0 / k)
-    b = col.copy()
+    # a and b are halves of one buffer: one reduction finds the largest change
+    ab = np.concatenate([np.full(k, 1.0 / k), col])
     iterations = max_iterations
     for it in range(1, max_iterations + 1):
-        a_prev = a
-        b_prev = b
-        a = _margin_update(row, b)
-        b = _margin_update(col, a)
-        delta = max(np.abs(a - a_prev).max(), np.abs(b - b_prev).max())
-        if delta < tol:
+        prev, ab = ab, np.empty(2 * k)
+        a, b = ab[:k], ab[k:]
+        _margin_update(row, prev[k:], out=a)
+        _margin_update(col, a, out=b)
+        if np.abs(ab - prev).max() < tol:
             iterations = it
             break
     else:
@@ -119,19 +119,21 @@ def fit_quasi_independence(m: ConfusionMatrix,
                                 residual=_residual(off, a, b))
 
 
-def _margin_update(target: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # new_i = target_i / sum_{j != i} other_j; a zero target pins the factor at 0
+def _margin_update(target: np.ndarray, other: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    # out_i = target_i / sum_{j != i} other_j; a zero target pins the factor at 0
     denom = other.sum() - other
-    out = np.zeros_like(target)
+    if denom.min() > 0:
+        return np.divide(target, denom, out=out)
     positive = denom > 0
-    out[positive] = target[positive] / denom[positive]
     stuck = ~positive & (target > 0)
     if stuck.any():
         raise NoConvergence(
             "margin update has a zero denominator for a nonzero margin",
             parameter="cells", value=float(target[stuck][0]),
         )
-    return out
+    out[:] = 0.0
+    return np.divide(target, denom, out=out, where=positive)
 
 
 def _residual(off: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

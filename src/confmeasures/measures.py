@@ -21,7 +21,7 @@ never silently reported as 0 or NaN. ``evaluate_stack`` is the one
 implementation of every measure: it evaluates one kind on an ``(n, k, k)``
 stack of matrices and carries Undefined as a boolean mask. ``evaluate``,
 ``class_measure`` and ``overall_measure`` are views of it on a stack of one,
-and ``report`` evaluates each class-specific kind once for all classes.
+and ``report`` reads every ratio kind from one set of one-vs-rest counts.
 """
 
 from __future__ import annotations
@@ -64,11 +64,14 @@ class MeasureKind(enum.Enum):
         return self.value.upper()
 
 
-_CLASS_SPECIFIC = {
+# tuples in catalog order: membership compares by identity, where a set
+# would call the Python-level ``Enum.__hash__``
+_CLASS_SPECIFIC = (
     MeasureKind.TPR, MeasureKind.TNR, MeasureKind.PPV, MeasureKind.NPV,
     MeasureKind.FPR, MeasureKind.F_MEASURE, MeasureKind.JCC, MeasureKind.ICSI,
     MeasureKind.KULCZYNSKI, MeasureKind.GT_INDEX,
-}
+)
+_MULTICLASS = tuple(kind for kind in MeasureKind if kind not in _CLASS_SPECIFIC)
 
 _ALIASES = {kind.value: kind for kind in MeasureKind} | {
     "f-measure": MeasureKind.F_MEASURE, "f_measure": MeasureKind.F_MEASURE,
@@ -134,7 +137,8 @@ def _ppv(tp, fp, fn, tn):
 # Per-class ratio measures: kind -> (ratios, combination). A ratio maps the
 # one-vs-rest counts (tp, fp, fn, tn) to (numerator, denominator); the
 # combination maps the ratio values to the measure, which is undefined where
-# a ratio is 0/0. They are applied to the (n, k) counts of every class.
+# a ratio is 0/0. They are applied to the (n, k) counts of every class, and
+# listed in catalog order, which ``report`` keeps.
 _CLASS_FORMULAS = {
     MeasureKind.TPR: ((_tpr,), None),
     MeasureKind.TNR: ((_tnr,), None),
@@ -162,24 +166,9 @@ def _counts(cells: np.ndarray) -> tuple:
     return tp, fp, fn, np.where(tn < 0.0, 0.0, tn)
 
 
-def _class_values(cells: np.ndarray, kind: MeasureKind,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``(n, k)`` values of a class-specific kind for every class of every
-    member, and where they are defined. GT runs one quasi-independence fit
-    per member; a failed fit leaves the member undefined."""
-    if kind == MeasureKind.GT_INDEX:
-        values = np.zeros(cells.shape[:2])
-        defined = np.zeros(cells.shape[:2], dtype=bool)
-        for member, row, ok in zip(cells, values, defined):
-            try:
-                theta = gt.gt_index(ConfusionMatrix(member)).theta
-            except ConfmeasuresError:
-                continue
-            ok[:] = [t is not None for t in theta]
-            row[ok] = [t for t in theta if t is not None]
-        return values, defined
-    ratios, combine = _CLASS_FORMULAS[kind]
-    counts = _counts(cells)
+def _ratio_values(counts, ratios, combine) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, k)`` values of one ``_CLASS_FORMULAS`` entry on the ``_counts``
+    of a stack, and where they are defined."""
     parts, defined = [], True
     for ratio in ratios:
         num, den = ratio(*counts)
@@ -187,6 +176,20 @@ def _class_values(cells: np.ndarray, kind: MeasureKind,
         parts.append(_divide(num, den, ok))
         defined = defined & ok
     return (parts[0] if combine is None else combine(*parts)), defined
+
+
+def _gt_values(matrices, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """GT of every class of each matrix; a failed fit leaves its row undefined."""
+    values = np.zeros(shape)
+    defined = np.zeros(shape, dtype=bool)
+    for m, row, ok in zip(matrices, values, defined):
+        try:
+            theta = gt.gt_index(m).theta
+        except ConfmeasuresError:
+            continue
+        ok[:] = [t is not None for t in theta]
+        row[ok] = [t for t in theta if t is not None]
+    return values, defined
 
 
 def _chance(kind: MeasureKind, cells: np.ndarray) -> np.ndarray:
@@ -268,10 +271,16 @@ def evaluate_stack(cells: np.ndarray, kind: MeasureKind,
     k = cells.shape[-1]
     if _class_specific(kind, class_index):
         ix = _check_class_index(k, class_index)
-        values, defined = _class_values(cells, kind)
+        if kind == MeasureKind.GT_INDEX:
+            values, defined = _gt_values(map(ConfusionMatrix, cells),
+                                         cells.shape[:2])
+        else:
+            values, defined = _ratio_values(_counts(cells),
+                                            *_CLASS_FORMULAS[kind])
         return values[:, ix], defined[:, ix]
     if kind == MeasureKind.CSI:
-        icsi, defined = _class_values(cells, MeasureKind.ICSI)
+        icsi, defined = _ratio_values(_counts(cells),
+                                      *_CLASS_FORMULAS[MeasureKind.ICSI])
         # summed in class order: a pairwise sum changes the bits at k >= 8
         return sum(icsi.T) / k, defined.all(axis=1)
     po = np.minimum(np.trace(cells, axis1=1, axis2=2), 1.0)
@@ -318,15 +327,11 @@ class MeasureReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        per_class = []
-        for i in range(self.k):
-            entry: dict = {"class": i + 1}
-            for kind in MeasureKind:
-                if kind.class_specific:
-                    entry[kind.value] = self.per_class[kind][i].value
-            per_class.append(entry)
-        overall = {kind.value: self.multiclass[kind].value
-                   for kind in MeasureKind if not kind.class_specific}
+        names = [kind.value for kind in self.per_class]
+        rows = zip(*self.per_class.values())
+        per_class = [{"class": i, **{name: v.value for name, v in zip(names, row)}}
+                     for i, row in enumerate(rows, start=1)]
+        overall = {kind.value: v.value for kind, v in self.multiclass.items()}
         return {"k": self.k, "per_class": per_class, "overall": overall}
 
 
@@ -337,17 +342,17 @@ def _fmt(v: MeasureValue) -> str:
 
 
 def report(m: ConfusionMatrix) -> MeasureReport:
-    """Evaluate the whole catalog on one matrix: each class-specific kind
-    once for all classes (so GT is fitted once), each multiclass kind
-    through ``evaluate``."""
-    per_class = {}
-    for kind in MeasureKind:
-        if kind.class_specific:
-            values, defined = _class_values(m.cells[None], kind)
-            per_class[kind] = tuple(
-                MeasureValue(kind, v if ok else None, class_index=i)
-                for i, (v, ok) in enumerate(zip(values[0].tolist(),
-                                                defined[0].tolist()), start=1))
-    multiclass = {kind: evaluate(m, kind)
-                  for kind in MeasureKind if not kind.class_specific}
+    """Evaluate the whole catalog on one matrix: every ratio kind for all
+    classes from one set of one-vs-rest counts, GT from one fit on ``m``
+    itself, and each multiclass kind through ``evaluate``."""
+    counts = _counts(m.cells[None])
+    columns = [(kind, _ratio_values(counts, *formula))
+               for kind, formula in _CLASS_FORMULAS.items()]
+    columns.append((MeasureKind.GT_INDEX, _gt_values((m,), (1, m.k))))
+    per_class = {
+        kind: tuple(MeasureValue(kind, v if ok else None, class_index=i)
+                    for i, (v, ok) in enumerate(zip(values[0].tolist(),
+                                                    defined[0].tolist()), start=1))
+        for kind, (values, defined) in columns}
+    multiclass = {kind: evaluate(m, kind) for kind in _MULTICLASS}
     return MeasureReport(k=m.k, per_class=per_class, multiclass=multiclass)

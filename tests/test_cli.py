@@ -230,6 +230,18 @@ class TestEquivalenceCommand:
         assert err["parameter"] == "class_index"
         assert err["value"] == int(class_index)
 
+    @pytest.mark.parametrize("kinds", ["tpr", "gt"])
+    def test_one_class_specific_kind_needs_class_index(self, kinds, capsys):
+        code = main([
+            "equivalence", "--kinds", kinds, "--k", "3", "--p", "0",
+            "--grid-step", "0.5",
+        ])
+        assert code == 2
+        assert strict_error(capsys) == {
+            "error": "InvalidInput",
+            "message": f"{kinds.upper()} needs a class index",
+            "parameter": "class_index", "value": None}
+
 
 class TestPlotCommand:
     def make_line_csv(self, tmp_path, name, measure, extra=()):

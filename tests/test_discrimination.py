@@ -493,6 +493,26 @@ class TestUnusedClassIndex:
             assert res == consistency(K.OSR, K.COHEN_KAPPA, pairs)
 
 
+class TestMissingClassIndex:
+    """A class-specific kind needs a class index, also as the only kind."""
+
+    @pytest.mark.parametrize("kinds", [[K.TPR], [K.GT_INDEX], [K.KULCZYNSKI],
+                                       [K.OSR, K.PPV]])
+    def test_rejected(self, kinds):
+        with pytest.raises(InvalidInput) as exc:
+            equivalence_classes(kinds, series_pairs(3, 0.0, grid_step=0.5))
+        short = next(kind for kind in kinds if kind.class_specific).short_name
+        assert exc.value.to_dict() == {
+            "error": "InvalidInput", "message": f"{short} needs a class index",
+            "parameter": "class_index", "value": None}
+
+    def test_one_kind_with_class_index(self):
+        part = equivalence_classes([K.TPR], series_pairs(3, 0.0, grid_step=0.5),
+                                   class_index=2)
+        assert part.groups == ((K.TPR,),)
+        assert part.pairs_compared == 0
+
+
 def fresh_series_pairs(k, p, grid):
     """Series pairs built on the fly; each pair is freed once consumed."""
     pi = class_proportions(k, p)

@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confmeasures import (
+    ConfmeasuresError,
     ConfusionMatrix,
     DegenerateChance,
     NoConvergence,
     PerfectClassification,
     TooFewClasses,
     fit_quasi_independence,
+    from_counts,
     gt_index,
 )
+from confmeasures.gt import CONVERGENCE_TOL, MAX_ITERATIONS, QuasiIndependenceFit
 from confmeasures.measures import MeasureKind, class_measure
 from confmeasures.series import SeriesMode, class_proportions, series_matrix
 
@@ -251,3 +256,151 @@ class TestThetaProperties:
         assert np.allclose(
             np.asarray(scaled_fit.b), 0.5 * np.asarray(fit.b), atol=1e-6
         )
+
+
+# The fit as it was before a and b shared one buffer and the margin update
+# divided directly where every denominator is positive; kept verbatim as the
+# reference that the fit must match bit for bit.
+def _reference_fit(m, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIONS):
+    k = m.k
+    if k < 3:
+        raise TooFewClasses(
+            f"quasi-independence needs at least 3 classes, got {k}",
+            parameter="k", value=k,
+        )
+    off = np.array(m.cells)
+    np.fill_diagonal(off, 0.0)
+    row = off.sum(axis=1)
+    col = off.sum(axis=0)
+    if not (off > 0).any():
+        raise PerfectClassification(
+            "all off-diagonal cells are zero; nothing to fit",
+            parameter="cells", value=0.0,
+        )
+
+    a = np.full(k, 1.0 / k)
+    b = col.copy()
+    iterations = max_iterations
+    for it in range(1, max_iterations + 1):
+        a_prev = a
+        b_prev = b
+        a = _reference_margin_update(row, b)
+        b = _reference_margin_update(col, a)
+        delta = max(np.abs(a - a_prev).max(), np.abs(b - b_prev).max())
+        if delta < tol:
+            iterations = it
+            break
+    else:
+        residual = _reference_residual(off, a, b)
+        raise NoConvergence(
+            f"fit did not converge in {max_iterations} iterations "
+            f"(residual {residual:.3e})",
+            residual=residual, parameter="max_iterations", value=max_iterations,
+        )
+
+    total = a.sum()
+    a = a / total
+    b = b * total
+    return QuasiIndependenceFit(a=a, b=b, iterations=iterations,
+                                residual=_reference_residual(off, a, b))
+
+
+def _reference_margin_update(target, other):
+    # new_i = target_i / sum_{j != i} other_j; a zero target pins the factor at 0
+    denom = other.sum() - other
+    out = np.zeros_like(target)
+    positive = denom > 0
+    out[positive] = target[positive] / denom[positive]
+    stuck = ~positive & (target > 0)
+    if stuck.any():
+        raise NoConvergence(
+            "margin update has a zero denominator for a nonzero margin",
+            parameter="cells", value=float(target[stuck][0]),
+        )
+    return out
+
+
+def _reference_residual(off, a, b):
+    rec = np.outer(a, b)
+    np.fill_diagonal(rec, 0.0)
+    return float(np.abs(off - rec).max())
+
+
+def _reference_theta(m, fit):
+    col = m.col_sums()
+    theta = []
+    for ix in range(m.k):
+        a_i = float(fit.a[ix])
+        if a_i >= 1.0:
+            raise DegenerateChance(
+                f"chance probability of class {ix + 1} is 1, index undefined",
+                parameter="a", value=a_i,
+            )
+        if col[ix] == 0:
+            theta.append(None)
+            continue
+        tpr = float(m.cells[ix, ix] / col[ix])
+        theta.append((tpr - a_i) / (1.0 - a_i))
+    return tuple(theta)
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _outcome(call):
+    """("ok", result) of a call, or ("error", type, dict, residual bits)."""
+    try:
+        return "ok", call()
+    except ConfmeasuresError as exc:
+        return ("error", type(exc), exc.to_dict(),
+                _bits(getattr(exc, "residual", None)))
+
+
+class TestAgainstReferenceFit:
+    @given(st.integers(3, 12).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 20), min_size=k, max_size=k),
+        min_size=k, max_size=k)),
+        st.sampled_from(["any", "zero row", "zero column", "zero row and column",
+                         "one error row", "one error column", "huge cell",
+                         "perfect"]),
+        st.sampled_from([MAX_ITERATIONS, 1, 2, 5]))
+    # a cell of 3e16 leaves the other off-diagonal mass below the rounding of
+    # its column sum: a zero denominator for a nonzero margin
+    @example([[2, 1, 0], [0, 0, 0], [0, 0, 5]], "huge cell", MAX_ITERATIONS)
+    @example([[5, 1, 1], [1, 5, 1], [1, 1, 5]], "zero row", MAX_ITERATIONS)
+    @example([[5, 1, 1], [1, 5, 1], [1, 1, 5]], "one error column",
+             MAX_ITERATIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit(self, rows, shape, max_iterations):
+        counts = np.array(rows, dtype=np.int64)
+        diag = np.diag(np.diag(counts))
+        if shape in ("zero row", "zero row and column"):  # pins a_1 at 0
+            counts[0] = diag[0]
+        if shape in ("zero column", "zero row and column"):  # pins b_k at 0
+            counts[:, -1] = diag[:, -1]
+        # every other off-diagonal sum is 0: a zero denominator, zero target
+        if shape == "one error row":
+            counts[1:] = diag[1:]
+        if shape == "one error column":
+            counts[:, 1:] = diag[:, 1:]
+        if shape == "huge cell":
+            counts[1, 0] = 3 * 10**16
+        if shape == "perfect":
+            counts = diag
+        if not counts.any():
+            counts[0, 0] = 1
+        m = from_counts(counts)
+        want = _outcome(lambda: _reference_fit(m, max_iterations=max_iterations))
+        got = _outcome(lambda: fit_quasi_independence(
+            m, max_iterations=max_iterations))
+        if want[0] == "error":
+            assert got == want
+            return
+        (_, fit), (_, ref) = got, want
+        assert (_bits(fit.a), _bits(fit.b), fit.iterations, _bits(fit.residual)) \
+            == (_bits(ref.a), _bits(ref.b), ref.iterations, _bits(ref.residual))
+        theta = _outcome(lambda: tuple(map(_bits, gt_index(
+            m, max_iterations=max_iterations).theta)))
+        assert theta == _outcome(lambda: tuple(map(_bits,
+                                                   _reference_theta(m, ref))))

@@ -427,6 +427,55 @@ class TestReport:
         assert "undef" in text
 
 
+CLASS_KINDS = [kind for kind in K if kind.class_specific]
+MULTI_KINDS = [kind for kind in K if not kind.class_specific]
+
+
+class TestReportMatchesEvaluate:
+    @given(st.integers(2, 12).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 30), min_size=k, max_size=k),
+        min_size=k, max_size=k)),
+        st.sampled_from(["any", "empty true class", "never predicted",
+                         "perfect"]))
+    @example([[3, 1], [2, 4]], "any")  # k = 2: GT is undefined
+    @example([[4, 0, 1], [2, 0, 3], [1, 0, 5]], "any")  # class 2 is empty
+    @settings(max_examples=80, deadline=None)
+    def test_every_entry_bit_for_bit(self, rows, shape):
+        counts = np.array(rows)
+        if shape == "empty true class":  # columns are the true classes
+            counts[:, -1] = 0
+        elif shape == "never predicted":
+            counts[0, :] = 0
+        elif shape == "perfect":
+            counts = np.diag(np.diag(counts))
+        if not counts.any():
+            counts[-1, 0] = 1
+        m = from_counts(counts)
+        rep = report(m)
+        assert list(rep.per_class) == CLASS_KINDS
+        assert list(rep.multiclass) == MULTI_KINDS
+        for kind, values in rep.per_class.items():
+            assert [(v.kind, v.class_index) for v in values] == \
+                [(kind, i) for i in range(1, m.k + 1)]
+            for v in values:
+                assert _same_value(v.value, evaluate(m, kind, v.class_index).value)
+        for kind, v in rep.multiclass.items():
+            assert (v.kind, v.class_index) == (kind, None)
+            assert _same_value(v.value, evaluate(m, kind).value)
+        doc = rep.to_json_dict()
+        assert list(doc) == ["k", "per_class", "overall"]
+        assert doc["k"] == m.k
+        assert [list(entry) for entry in doc["per_class"]] == \
+            [["class"] + [kind.value for kind in CLASS_KINDS]] * m.k
+        for i, entry in enumerate(doc["per_class"]):
+            assert entry["class"] == i + 1
+            assert all(entry[kind.value] is rep.per_class[kind][i].value
+                       for kind in CLASS_KINDS)
+        assert list(doc["overall"]) == [kind.value for kind in MULTI_KINDS]
+        assert all(doc["overall"][kind.value] is rep.multiclass[kind].value
+                   for kind in MULTI_KINDS)
+
+
 def _stack_members(seed: int, k: int, n: int) -> list[ConfusionMatrix]:
     """Count matrices with ties and zeros: plain, one empty estimated class
     (row), one empty true class (column), or perfect."""
