@@ -56,7 +56,6 @@ from .series import (
     ProportionVector,
     SeriesMode,
     class_proportions,
-    controlled_matrix,
     series_matrix,
     series_stack,
     uniform_grid,
@@ -69,7 +68,7 @@ __all__ = [
     "InvalidInput", "LineRow", "MeasureKind", "MeasureReport", "MeasureValue",
     "NoConvergence", "NotComparable", "PerfectClassification", "Preference",
     "ProportionVector", "QuasiIndependenceFit", "SeriesMode", "TooFewClasses",
-    "class_measure", "class_proportions", "consistency", "controlled_matrix",
+    "class_measure", "class_proportions", "consistency",
     "discrimination_line", "equivalence_classes", "evaluate", "evaluate_stack",
     "fit_quasi_independence", "from_counts", "gt_index", "overall_measure",
     "parse_kind", "preference", "report", "round_half_up", "series_matrix",

@@ -58,6 +58,15 @@ class Preference(enum.Enum):
     TIE = "tie"
 
 
+def _verdict(a, b, tie_tol):
+    """+1 where ``a`` ranks above ``b`` by more than ``tie_tol``, -1 where
+    ``b`` ranks above ``a`` by more, 0 for a tie; on floats or arrays."""
+    return np.subtract(a > b + tie_tol, b > a + tie_tol, dtype=np.int8)
+
+
+_PREFERENCES = {1: Preference.FIRST, -1: Preference.SECOND, 0: Preference.TIE}
+
+
 def preference(kind: MeasureKind, first: ConfusionMatrix,
                second: ConfusionMatrix, class_index: int | None = None,
                tie_tolerance: float = TIE_TOLERANCE) -> Preference:
@@ -69,11 +78,7 @@ def preference(kind: MeasureKind, first: ConfusionMatrix,
             f"{kind.short_name} is undefined on one of the matrices",
             parameter="kind", value=kind.short_name,
         )
-    if va.value > vb.value + tie_tolerance:
-        return Preference.FIRST
-    if vb.value > va.value + tie_tolerance:
-        return Preference.SECOND
-    return Preference.TIE
+    return _PREFERENCES[int(_verdict(va.value, vb.value, tie_tolerance))]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,13 +127,16 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     The line is solved on stacks of series members, not one matrix at a
     time. The targets, the measure on the first series at every c_x, are one
     stack. The second series is scanned at 32 points over [c_lo, 1] once per
-    line, since the scan does not depend on c_x. A row whose scan stays more
-    than ``tie_tolerance`` on one side of its target has no crossing;
-    otherwise its first sign change in scan order is bisected for 60 steps,
-    every such row in the same stacked probe. A row has no verdict where its
-    target, a scan point or one of its probes is undefined. ``grid_step``
-    (0.01 when None) and ``grid`` exclude each other; ``c_lo`` lies in
-    [0, 1), and no value of a given ``grid`` lies below it.
+    line, since the scan does not depend on c_x. Each row's outcome is
+    decided in this order: no verdict where its target or a scan point is
+    undefined; a tie at c_x (clamped to [c_lo, 1]) where the whole scan lies
+    within ``tie_tolerance`` of its target; a crossing at its first sign
+    change in scan order, an exact zero at a scan point included, where
+    there is one, bisected for 60 steps with every such row in the same
+    stacked probe (no verdict where a probe is undefined); otherwise no
+    crossing, and the side of the first scan point is preferred throughout.
+    ``grid_step`` (0.01 when None) and ``grid`` exclude each other; ``c_lo``
+    lies in [0, 1), and no value of a given ``grid`` lies below it.
     """
     pi = class_proportions(k, p)
     grid = _grid(grid, grid_step, c_lo)
@@ -142,92 +150,64 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
         return (np.concatenate([v for v, _ in parts]),
                 np.concatenate([d for _, d in parts]))
 
-    rows = [LineRow(c_x, None, False, None) for c_x in grid]
     targets, has_target = measure_on(SeriesMode.ALL_CLASSES, grid)
-    if has_target.any():
-        samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
-        scan, scan_defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
-        if scan_defined.all():
-            solved = np.flatnonzero(has_target)
-            for r, row in zip(solved.tolist(),
-                              _solve_rows(targets[solved], samples, scan,
-                                          measure_on, c_lo, tie_tolerance,
-                                          [grid[r] for r in solved])):
-                rows[r] = row
+    samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
+    scan, scan_defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
+    solved = _solve_rows(targets, has_target & scan_defined.all(), samples,
+                         scan, measure_on, tie_tolerance)
+    tie, crossing, c_y, second, has_verdict = (a.tolist() for a in solved)
+    rows = []
+    for r, c_x in enumerate(grid):
+        if not has_verdict[r]:
+            row = LineRow(c_x, None, False, None)
+        elif tie[r]:
+            # both series hit the target everywhere; the tie holds at c_x itself
+            row = LineRow(c_x, min(max(c_x, c_lo), 1.0), True, Preference.TIE)
+        elif crossing[r]:
+            row = LineRow(c_x, c_y[r], True, Preference.TIE)
+        else:
+            side = Preference.SECOND if second[r] else Preference.FIRST
+            row = LineRow(c_x, None, False, side)
+        rows.append(row)
     return DiscriminationLine(kind=kind, class_index=class_index, k=k, p=p,
                               c_lo=c_lo, rows=tuple(rows))
 
 
-def _solve_rows(targets, samples, scan, measure_on, c_lo, tie_tol, c_xs,
-                ) -> list[LineRow]:
-    """Rows of the c_x values ``c_xs`` whose targets and scan are defined."""
-    values = scan[None, :] - targets[:, None]  # g(sample) per row
-    tie = np.abs(values).max(axis=1) <= tie_tol
-    second = ~tie & (values.min(axis=1) > tie_tol)
-    first = ~tie & ~second & (values.max(axis=1) < -tie_tol)
-    # first sign change in scan order, an exact zero included
-    change = ((values[:, :-1] == 0.0)
-              | (values[:, :-1] * values[:, 1:] <= 0.0))
-    idx = change.argmax(axis=1)
-    g_lo = values[np.arange(len(values)), idx]
-    undecided = ~(tie | second | first)
-    bracket = undecided & change.any(axis=1) & (g_lo != 0.0)
-    roots = _bisect_rows(np.flatnonzero(bracket), samples[idx], samples[idx + 1],
-                         g_lo, targets, measure_on)
+def _solve_rows(targets, defined, samples, scan, measure_on, tie_tol):
+    """Per-row arrays ``(tie, crossing, c_y, second, has_verdict)`` of a line.
 
-    out = []
-    for r, c_x in enumerate(c_xs):
-        if tie[r]:
-            # both series hit the target everywhere; the tie holds at c_x itself
-            out.append(LineRow(c_x, min(max(c_x, c_lo), 1.0), True,
-                               Preference.TIE))
-        elif second[r]:
-            out.append(LineRow(c_x, None, False, Preference.SECOND))
-        elif first[r]:
-            out.append(LineRow(c_x, None, False, Preference.FIRST))
-        elif not change[r].any():
-            # sign pattern inconsistent with a zero (numeric noise around the
-            # tolerance)
-            side = (Preference.SECOND if values[r].mean() > 0
-                    else Preference.FIRST)
-            out.append(LineRow(c_x, None, False, side))
-        elif not bracket[r]:
-            out.append(LineRow(c_x, float(samples[idx[r]]), True, Preference.TIE))
-        elif roots[r] is None:
-            out.append(LineRow(c_x, None, False, None))
-        else:
-            out.append(LineRow(c_x, roots[r], True, Preference.TIE))
-    return out
-
-
-def _bisect_rows(active, lo, hi, g_lo, targets, measure_on) -> dict:
-    """First-sign-change bisection of the rows ``active``, all at once.
-
-    ``lo``, ``hi`` and ``g_lo`` hold each row's bracket and g(lo). Returns
-    the root of each active row, or None where a probe was undefined.
+    ``defined`` marks the rows whose target and scan are defined;
+    ``has_verdict`` is it less the rows with an undefined probe. A row that
+    neither ties nor changes sign keeps one strict sign, a zero counting as
+    a change, so ``second`` (g > 0 at the first scan point) is its side.
     """
-    roots: dict[int, float | None] = {}
-    lo, hi, g_lo, target = lo[active], hi[active], g_lo[active], targets[active]
+    g = scan[None, :] - targets[:, None]
+    tie = np.abs(g).max(axis=1) <= tie_tol
+    # first sign change in scan order, an exact zero included
+    change = (g[:, :-1] == 0.0) | (g[:, :-1] * g[:, 1:] <= 0.0)
+    crossing = ~tie & change.any(axis=1)
+    idx = change.argmax(axis=1)
+    g_lo = g[np.arange(len(g)), idx]
+    lo, hi = samples[idx], samples[idx + 1]
+    c_y = lo.copy()
+    has_verdict = defined.copy()
+    active = np.flatnonzero(has_verdict & crossing & (g_lo != 0.0))
     for _ in range(_BISECT_ITERATIONS):
         if not active.size:
             break
-        mid = 0.5 * (lo + hi)
-        value, defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, mid)
-        gm = value - target
-        zero = defined & (gm == 0.0)
-        for r in active[~defined].tolist():
-            roots[r] = None
-        for r, m in zip(active[zero].tolist(), mid[zero].tolist()):
-            roots[r] = m
-        same = (gm < 0) == (g_lo < 0)
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-        keep = defined & ~zero
-        active, lo, hi, g_lo, target = (active[keep], lo[keep], hi[keep],
-                                        g_lo[keep], target[keep])
-    for r, m in zip(active.tolist(), (0.5 * (lo + hi)).tolist()):
-        roots[r] = m
-    return roots
+        mid = 0.5 * (lo[active] + hi[active])
+        value, ok = measure_on(SeriesMode.FIRST_CLASS_ONLY, mid)
+        gm = value - targets[active]
+        same = (gm < 0) == (g_lo[active] < 0)
+        lo[active] = np.where(same, mid, lo[active])
+        hi[active] = np.where(same, hi[active], mid)
+        # a row retires at an undefined probe or one that hits its target
+        hit = ok & (gm == 0.0)
+        c_y[active[hit]] = mid[hit]
+        has_verdict[active[~ok]] = False
+        active = active[ok & ~hit]
+    c_y[active] = 0.5 * (lo[active] + hi[active])
+    return tie, crossing, c_y, g[:, 0] > 0, has_verdict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,9 +295,7 @@ def _verdicts(kind: MeasureKind, stacks, index: np.ndarray,
     values, defined = np.zeros(size), np.zeros(size, dtype=bool)
     for group, cells in stacks:
         values[group], defined[group] = evaluate_stack(cells, kind, ci)
-    a, b = values[index[0]], values[index[1]]
-    verdict = ((a > b + tie_tol).astype(np.int8)
-               - (b > a + tie_tol).astype(np.int8))
+    verdict = _verdict(values[index[0]], values[index[1]], tie_tol)
     return verdict, defined[index[0]] & defined[index[1]]
 
 
@@ -374,15 +352,8 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
 
-    verdicts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def verdict_of(ix: int) -> tuple[np.ndarray, np.ndarray]:
-        # computed on first use, so errors surface in kind-pair order
-        if ix not in verdicts:
-            verdicts[ix] = _verdicts(kinds[ix], stacks, index, class_index,
-                                     tie_tolerance)
-        return verdicts[ix]
-
+    verdicts = [_verdicts(kind, stacks, index, class_index, tie_tolerance)
+                for kind in kinds]
     parent = list(range(len(kinds)))
 
     def find(x: int) -> int:
@@ -393,8 +364,8 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 
     for ia in range(len(kinds)):
         for ib in range(ia + 1, len(kinds)):
-            va, da = verdict_of(ia)
-            vb, db = verdict_of(ib)
+            va, da = verdicts[ia]
+            vb, db = verdicts[ib]
             both = da & db
             if not both.any():
                 raise InsufficientData(

@@ -76,7 +76,7 @@ def _unreadable(path, exc: Exception) -> InvalidInput:
 def _read_records(path) -> list[list[str]]:
     """The CSV records of ``path``; an unreadable file is InvalidInput."""
     try:
-        with pathlib.Path(path).open(newline="") as fh:
+        with pathlib.Path(path).open(newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(path, exc) from exc
@@ -84,7 +84,7 @@ def _read_records(path) -> list[list[str]]:
 
 def _load_json(path: pathlib.Path):
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
     try:

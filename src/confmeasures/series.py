@@ -135,21 +135,6 @@ def _controlled_cells(pi: ProportionVector, rates: np.ndarray) -> np.ndarray:
     return cells
 
 
-def controlled_matrix(pi, c) -> ConfusionMatrix:
-    """Matrix with per-class diagonal retention ``c`` and uniform error spread."""
-    if not isinstance(pi, ProportionVector):
-        pi = ProportionVector(np.asarray(pi, dtype=float))
-    c = np.asarray(c, dtype=float)
-    if c.shape != (pi.k,):
-        raise InvalidInput(
-            f"need one retention rate per class, got shape {c.shape} for k={pi.k}",
-            parameter="c", value=c.shape,
-        )
-    rates = c[None]
-    _check_rates(rates)
-    return ConfusionMatrix(_controlled_cells(pi, rates)[0])
-
-
 def _series_rates(k: int, c: np.ndarray, mode: SeriesMode) -> np.ndarray:
     """``(n, k)`` retention rates of the series members at retentions ``c``."""
     if mode == SeriesMode.ALL_CLASSES:

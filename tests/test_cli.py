@@ -437,6 +437,44 @@ class TestUndecodableInput:
         assert err["value"] == str(path)
 
 
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark, as spreadsheet
+    "CSV UTF-8" exports do, reads as the same file without one."""
+
+    @staticmethod
+    def same_with_and_without(capsys, tmp_path, name, data, argv):
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / ("bom" if bom else "plain")
+            folder.mkdir()
+            path, out = folder / name, folder / "out"
+            path.write_bytes(bom + data)
+            assert main([a.format(input=path, output=out) for a in argv]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_measure_csv(self, tmp_path, capsys):
+        self.same_with_and_without(
+            capsys, tmp_path, "m.csv", b"30,12,2\n2,19,1\n1,3,30\n",
+            ["measure", "--input", "{input}", "--counts", "--output",
+             "{output}"])
+
+    def test_measure_json(self, tmp_path, capsys):
+        self.same_with_and_without(
+            capsys, tmp_path, "m.json", b"[[30, 12, 2], [2, 19, 1], [1, 3, 30]]",
+            ["measure", "--input", "{input}", "--counts", "--output",
+             "{output}"])
+
+    def test_plot_line_csv(self, tmp_path, capsys):
+        line = tmp_path / "osr.csv"
+        assert main(["discriminate", "--measure", "osr", "--k", "3", "--p",
+                     "0", "--grid-step", "0.1", "--output", str(line)]) == 0
+        self.same_with_and_without(
+            capsys, tmp_path, "osr.csv", line.read_bytes(),
+            ["plot", "--input", "{input}", "--svg", "{output}"])
+
+
 class TestSeriesLimits:
     def test_generate_rejects_k_above_ceiling(self, tmp_path, capsys):
         code = main(["generate", "--k", "1100", "--p", "0.5",

@@ -20,8 +20,8 @@ from confmeasures.discrimination import (
     ConcordanceResult,
     LineRow,
     Preference,
-    _bisect_rows,
     _index_pairs,
+    _solve_rows,
     consistency,
     discrimination_line,
     equivalence_classes,
@@ -739,7 +739,11 @@ def per_row_line(kind, k, p, class_index, grid, c_lo):
 
 class TestAgainstPerRowSolver:
     CASES = [(K.OSR, None), (K.COHEN_KAPPA, None), (K.TPR, 1), (K.TPR, 2),
-             (K.PPV, 1), (K.PPV, 2), (K.F_MEASURE, 1), (K.F_MEASURE, 2)]
+             (K.PPV, 1), (K.PPV, 2), (K.F_MEASURE, 1), (K.F_MEASURE, 2),
+             (K.TNR, 1), (K.TNR, 2), (K.NPV, 1), (K.NPV, 2), (K.FPR, 1),
+             (K.FPR, 2), (K.JCC, 1), (K.JCC, 2), (K.ICSI, 1),
+             (K.ICSI, 2), (K.KULCZYNSKI, 1), (K.KULCZYNSKI, 2), (K.CSI, None),
+             (K.SCOTT_PI, None), (K.MAXWELL_RE, None)]
 
     @staticmethod
     def assert_same_rows(line, expected):
@@ -811,24 +815,44 @@ class TestAgainstPerRowSolver:
         assert [r.c_x for r in rows] == list(uniform_grid(0.01))
 
 
-class TestBisectRows:
-    """The stacked bisection retires a row at an undefined probe or an exact
-    zero and bisects the others on."""
+class TestSolveRows:
+    """The array solver of a line on a fake measure, the identity, which is
+    undefined above 0.74; every row's target and scan are defined."""
 
     @staticmethod
-    def identity_undefined_above(limit):
+    def solve(targets, samples):
         def measure_on(mode, c):
             c = np.asarray(c, dtype=float)
-            return c.copy(), c <= limit
-        return measure_on
+            return c.copy(), c <= 0.74
+
+        targets, samples = np.array(targets), np.array(samples)
+        return _solve_rows(targets, np.ones(targets.size, dtype=bool),
+                           samples, samples.copy(), measure_on, TIE_TOLERANCE)
 
     def test_rows_retire_independently(self):
-        targets = np.array([0.3, 0.7, 0.25])
-        lo = np.array([0.0, 0.5, 0.0])
-        hi = np.array([0.5, 1.0, 0.5])
-        g_lo = lo - targets
-        roots = _bisect_rows(np.arange(3), lo, hi, g_lo, targets,
-                             self.identity_undefined_above(0.74))
-        assert roots[0] == pytest.approx(0.3, abs=1e-15)
-        assert roots[1] is None  # its first probe, 0.75, is undefined
-        assert roots[2] == 0.25  # its first probe hits the target exactly
+        # first sign changes in [0, 0.5], [0.5, 1] and [0, 0.5]
+        tie, crossing, c_y, _, has_verdict = self.solve(
+            [0.3, 0.7, 0.25], [0.0, 0.5, 1.0])
+        assert not tie.any() and crossing.all()
+        assert c_y[0] == pytest.approx(0.3, abs=1e-15)
+        assert has_verdict.tolist() == [True, False, True]  # probe 0.75
+        assert c_y[2] == 0.25  # its first probe hits the target exactly
+
+    def test_positive_within_tolerance_prefers_second(self):
+        # g = 1e-13 at the first scan point: not a tie, and no sign change
+        tie, crossing, _, second, has_verdict = self.solve(
+            [0.25 - 1e-13], [0.25, 0.5, 0.7])
+        assert not tie[0] and not crossing[0]
+        assert second[0] and has_verdict[0]
+
+    def test_negative_within_tolerance_prefers_first(self):
+        tie, crossing, _, second, has_verdict = self.solve(
+            [0.7 + 1e-13], [0.25, 0.5, 0.7])
+        assert not tie[0] and not crossing[0]
+        assert not second[0] and has_verdict[0]
+
+    def test_within_tolerance_everywhere_ties(self):
+        # g changes sign, but a tie is decided before a crossing
+        tie, crossing, _, _, has_verdict = self.solve(
+            [0.5], [0.5 - 5e-13, 0.5 + 1e-13, 0.5 + 5e-13])
+        assert tie[0] and not crossing[0] and has_verdict[0]

@@ -14,7 +14,6 @@ from confmeasures.series import (
     ProportionVector,
     SeriesMode,
     class_proportions,
-    controlled_matrix,
     series_matrix,
     series_stack,
     uniform_grid,
@@ -86,51 +85,6 @@ class TestProportionVector:
         pi = class_proportions(3, 0.0)
         with pytest.raises(ValueError):
             pi.pi[0] = 0.9
-
-
-class TestControlledMatrix:
-    def test_cell_structure(self):
-        pi = ProportionVector(np.array([0.5, 0.3, 0.2]))
-        m = controlled_matrix(pi, [0.9, 0.8, 0.7])
-        cells = np.asarray(m.cells)
-        assert cells[0, 0] == 0.9 * 0.5
-        assert cells[1, 1] == 0.8 * 0.3
-        assert cells[2, 2] == 0.7 * 0.2
-        # each column's error mass splits evenly over the other rows
-        assert cells[1, 0] == cells[2, 0] == pytest.approx(0.05 * 0.5)
-        assert cells[0, 2] == cells[1, 2] == pytest.approx(0.15 * 0.2)
-
-    def test_column_sums_match_proportions(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            k = int(rng.integers(2, 7))
-            pi = class_proportions(k, float(rng.uniform(0, 1)))
-            c = rng.uniform(0, 1, size=k)
-            m = controlled_matrix(pi, c)
-            assert np.max(np.abs(m.col_sums() - pi.pi)) < 1e-14
-
-    def test_full_retention_is_diagonal(self):
-        pi = class_proportions(4, 0.6)
-        m = controlled_matrix(pi, np.ones(4))
-        assert np.allclose(np.asarray(m.cells), np.diag(pi.pi))
-
-    def test_zero_retention_empties_diagonal(self):
-        pi = class_proportions(3, 0.0)
-        m = controlled_matrix(pi, np.zeros(3))
-        assert np.diag(np.asarray(m.cells)).max() == 0.0
-
-    def test_validation(self):
-        pi = class_proportions(3, 0.0)
-        with pytest.raises(InvalidInput):
-            controlled_matrix(pi, [0.5, 0.5])
-        with pytest.raises(InvalidInput):
-            controlled_matrix(pi, [0.5, 0.5, 1.2])
-        with pytest.raises(InvalidInput):
-            controlled_matrix(pi, [-0.1, 0.5, 0.5])
-
-    def test_accepts_plain_sequence_proportions(self):
-        m = controlled_matrix([0.5, 0.5], [1.0, 1.0])
-        assert np.allclose(np.asarray(m.cells), np.diag([0.5, 0.5]))
 
 
 class TestUniformGrid:
@@ -225,6 +179,28 @@ class TestSeriesStack:
     def test_empty(self):
         pi = class_proportions(3, 0.0)
         assert series_stack(pi, [], SeriesMode.ALL_CLASSES).shape == (0, 3, 3)
+
+    def test_column_error_splits_evenly(self):
+        pi = class_proportions(3, 0.5)
+        cells = series_stack(pi, [0.4], SeriesMode.FIRST_CLASS_ONLY)[0]
+        assert cells[0, 0] == 0.4 * pi.pi[0]
+        # the error mass of column 1 splits evenly over the other rows
+        assert cells[1, 0] == cells[2, 0] == pytest.approx(0.3 * pi.pi[0])
+        assert np.array_equal(cells[:, 1:], np.diag(pi.pi)[:, 1:])
+
+    @pytest.mark.parametrize("mode", list(SeriesMode))
+    def test_column_sums_match_proportions(self, mode):
+        rng = np.random.default_rng(3)
+        for k in range(2, 7):
+            pi = class_proportions(k, float(rng.uniform(0, 1)))
+            stack = series_stack(pi, rng.uniform(0, 1, size=5), mode)
+            assert np.abs(stack.sum(axis=1) - pi.pi).max() < 1e-14
+
+    def test_retention_endpoints(self):
+        pi = class_proportions(4, 0.6)
+        full, empty = series_stack(pi, [1.0, 0.0], SeriesMode.ALL_CLASSES)
+        assert np.array_equal(full, np.diag(pi.pi))
+        assert np.diag(empty).max() == 0.0
 
 
 class TestClassCeiling:
