@@ -24,8 +24,9 @@ from .errors import InsufficientData, InvalidInput, NotComparable
 from .matrix import ConfusionMatrix, _check_class_index
 from .measures import MeasureKind, _class_specific, evaluate, evaluate_stack
 from .series import (
+    _MAX_GRID_POINTS,
     SeriesMode,
-    _check_c_lo,
+    _check_grid,
     class_proportions,
     series_matrix,
     series_stack,
@@ -35,20 +36,22 @@ from .series import (
 TIE_TOLERANCE = 1e-12
 _SCAN_SAMPLES = 32
 _BISECT_ITERATIONS = 60
+_SPECULATIVE_LEVELS = 8  # bisection levels probed in one stack per pass
 # cells per stack: a line over a grid of large matrices is solved in chunks
 _STACK_CELLS = 1 << 20
+_MAX_PAIRS = 2_000_000  # a 1,414-point grid: ~280 MB for five kinds at k = 3
 
 
 def _grid(grid, grid_step: float | None, c_lo: float) -> list | tuple:
-    """A given ``grid`` read once and checked against ``c_lo``, or else the
-    uniform grid of ``grid_step`` (0.01 when None) over [c_lo, 1]."""
+    """A given ``grid`` read once, at most one value past its ceiling, and
+    checked; else the uniform grid of ``grid_step`` (0.01 when None)."""
     if grid is None:
         return uniform_grid(0.01 if grid_step is None else grid_step, c_lo)
     if grid_step is not None:
         raise InvalidInput("grid_step cannot be given with a grid",
                            parameter="grid_step", value=grid_step)
-    grid = list(grid)
-    _check_c_lo(c_lo, grid)
+    grid = list(itertools.islice(grid, _MAX_GRID_POINTS + 1))
+    _check_grid(c_lo, grid)
     return grid
 
 
@@ -124,19 +127,12 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     """Solve measure(second series at c_y) = measure(first series at c_x)
     for every c_x on the grid, by bisection over c_y in [c_lo, 1].
 
-    The line is solved on stacks of series members, not one matrix at a
-    time. The targets, the measure on the first series at every c_x, are one
-    stack. The second series is scanned at 32 points over [c_lo, 1] once per
-    line, since the scan does not depend on c_x. Each row's outcome is
-    decided in this order: no verdict where its target or a scan point is
-    undefined; a tie at c_x (clamped to [c_lo, 1]) where the whole scan lies
-    within ``tie_tolerance`` of its target; a crossing at its first sign
-    change in scan order, an exact zero at a scan point included, where
-    there is one, bisected for 60 steps with every such row in the same
-    stacked probe (no verdict where a probe is undefined); otherwise no
-    crossing, and the side of the first scan point is preferred throughout.
-    ``grid_step`` (0.01 when None) and ``grid`` exclude each other; ``c_lo``
-    lies in [0, 1), and no value of a given ``grid`` lies below it.
+    The targets are one stack, the second series is scanned once at 32
+    points, and rows are decided as in ``_solve_rows``: a crossing takes 60
+    halvings, up to 8 in one stacked probe along the path the secant through
+    the bracket ends predicts, keeping only halvings whose probes confirm
+    it. ``grid_step`` (0.01 when None) and ``grid`` exclude each other, and
+    ``c_lo`` in [0, 1) lies below every value of ``grid``.
     """
     pi = class_proportions(k, p)
     grid = _grid(grid, grid_step, c_lo)
@@ -144,11 +140,10 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     def measure_on(mode: SeriesMode, c) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(c, dtype=float)
         step = max(1, _STACK_CELLS // pi.k ** 2)
-        parts = [evaluate_stack(series_stack(pi, c[i:i + step], mode), kind,
-                                class_index)
-                 for i in range(0, max(c.size, 1), step)]
-        return (np.concatenate([v for v, _ in parts]),
-                np.concatenate([d for _, d in parts]))
+        if c.size <= step:
+            return evaluate_stack(series_stack(pi, c, mode), kind, class_index)
+        parts = [measure_on(mode, c[i:i + step]) for i in range(0, c.size, step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     targets, has_target = measure_on(SeriesMode.ALL_CLASSES, grid)
     samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
@@ -176,10 +171,14 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
 def _solve_rows(targets, defined, samples, scan, measure_on, tie_tol):
     """Per-row arrays ``(tie, crossing, c_y, second, has_verdict)`` of a line.
 
-    ``defined`` marks the rows whose target and scan are defined;
-    ``has_verdict`` is it less the rows with an undefined probe. A row that
-    neither ties nor changes sign keeps one strict sign, a zero counting as
-    a change, so ``second`` (g > 0 at the first scan point) is its side.
+    With g the scan less a row's target: a tie where |g| <= ``tie_tol`` at
+    every scan point; else a crossing at the first sign change in scan
+    order, a zero included, bisected unless g is 0 there; else g keeps one
+    strict sign, and ``second`` (g > 0 at the first scan point) is its side.
+    ``has_verdict`` is ``defined`` less the rows with an undefined probe. A
+    pass probes ``_SPECULATIVE_LEVELS`` secant-predicted midpoints per row
+    and keeps halvings up to the first undefined, on target, off the path or
+    past 60: each kept one probed plain bisection's own midpoint.
     """
     g = scan[None, :] - targets[:, None]
     tie = np.abs(g).max(axis=1) <= tie_tol
@@ -188,25 +187,55 @@ def _solve_rows(targets, defined, samples, scan, measure_on, tie_tol):
     crossing = ~tie & change.any(axis=1)
     idx = change.argmax(axis=1)
     g_lo = g[np.arange(len(g)), idx]
-    lo, hi = samples[idx], samples[idx + 1]
-    c_y = lo.copy()
+    c_y = samples[idx]
     has_verdict = defined.copy()
     active = np.flatnonzero(has_verdict & crossing & (g_lo != 0.0))
-    for _ in range(_BISECT_ITERATIONS):
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        value, ok = measure_on(SeriesMode.FIRST_CLASS_ONLY, mid)
-        gm = value - targets[active]
-        same = (gm < 0) == (g_lo[active] < 0)
-        lo[active] = np.where(same, mid, lo[active])
-        hi[active] = np.where(same, hi[active], mid)
-        # a row retires at an undefined probe or one that hits its target
-        hit = ok & (gm == 0.0)
-        c_y[active[hit]] = mid[hit]
-        has_verdict[active[~ok]] = False
-        active = active[ok & ~hit]
-    c_y[active] = 0.5 * (lo[active] + hi[active])
+    lo, hi = samples[idx[active]], samples[idx[active] + 1]
+    g_a, g_b = g_lo[active], g[active, idx[active] + 1]
+    left = np.full(active.size, _BISECT_ITERATIONS)
+    levels = np.arange(_SPECULATIVE_LEVELS)
+    while active.size:
+        rows = np.arange(active.size)
+        with np.errstate(all="ignore"):  # inf/NaN if g_a = g_b: only compared
+            root = lo - g_a * (hi - lo) / (g_b - g_a)
+        mids = np.empty((rows.size, levels.size))
+        plo, phi = lo, hi
+        for j in levels:
+            mids[:, j] = mid = 0.5 * (plo + phi)
+            rise = mid < root
+            plo, phi = np.where(rise, mid, plo), np.where(rise, phi, mid)
+        up = mids < root[:, None]
+        # a midpoint equal to lo, hi or the one before is a bracket end: its
+        # side is that end's (or the scan's exact zero at hi), the bracket
+        # cannot move again, and plain bisection ends with c_y there
+        flat = mids == np.column_stack([lo, mids[:, :-1]])
+        flat |= mids == hi[:, None]
+        probe = ~flat & (levels < left[:, None])
+        gm, ok = np.zeros(mids.shape), np.zeros(mids.shape, dtype=bool)
+        gm[probe], ok[probe] = measure_on(SeriesMode.FIRST_CLASS_ONLY,
+                                          mids[probe])
+        gm -= targets[active, None]
+        # g at lo has the sign of g_lo: a NaN probe moves lo only where g_lo > 0
+        same = (gm < 0) == (g_a < 0)[:, None]
+        # an unprobed level (flat or past the budget) is not ``ok``
+        stop = ~ok | (gm == 0.0) | (same != up) | (levels >= left[:, None] - 1)
+        stop[:, -1] = True
+        last = stop.argmax(axis=1)
+        at = (rows, last)
+        hit = flat[at] | ok[at] & (gm[at] == 0.0)
+        has_verdict[active[probe[at] & ~ok[at]]] = False
+        # new ends: the last kept midpoint on each side, else the old (-2, -1)
+        before, now = levels < last[:, None], levels == last[:, None]
+        ilo = np.where(before & up | now & same, levels, -2).max(axis=1)
+        ihi = np.where(before & ~up | now & ~same, levels, -1).max(axis=1)
+        ends = np.column_stack([mids, lo, hi]), np.column_stack([gm, g_a, g_b])
+        (lo, hi), (g_a, g_b) = ((e[rows, ilo], e[rows, ihi]) for e in ends)
+        left -= last + 1
+        alive = ok[at] & ~hit
+        done = hit | alive & (left == 0)
+        c_y[active[done]] = np.where(hit, mids[at], 0.5 * (lo + hi))[done]
+        active, lo, hi, g_a, g_b, left = (
+            v[alive & (left > 0)] for v in (active, lo, hi, g_a, g_b, left))
     return tie, crossing, c_y, g[:, 0] > 0, has_verdict
 
 
@@ -362,25 +391,23 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
             x = parent[x]
         return x
 
-    for ia in range(len(kinds)):
-        for ib in range(ia + 1, len(kinds)):
-            va, da = verdicts[ia]
-            vb, db = verdicts[ib]
-            both = da & db
-            if not both.any():
-                raise InsufficientData(
-                    f"no comparable pairs for {kinds[ia].short_name} vs "
-                    f"{kinds[ib].short_name}",
-                    parameter="pairs", value=index.shape[1],
-                )
-            if (va == vb)[both].all():
-                parent[find(ia)] = find(ib)
+    for ia, ib in itertools.combinations(range(len(kinds)), 2):
+        (va, da), (vb, db) = verdicts[ia], verdicts[ib]
+        both = da & db
+        if not both.any():
+            raise InsufficientData(
+                f"no comparable pairs for {kinds[ia].short_name} vs "
+                f"{kinds[ib].short_name}",
+                parameter="pairs", value=index.shape[1],
+            )
+        if (va == vb)[both].all():
+            parent[find(ia)] = find(ib)
 
+    # keyed in order of first appearance, so groups keep that order
     grouped: dict[int, list[MeasureKind]] = {}
     for ix, kind in enumerate(kinds):
         grouped.setdefault(find(ix), []).append(kind)
-    groups = sorted(grouped.values(), key=lambda g: kinds.index(g[0]))
-    return EquivalencePartition(groups=tuple(tuple(g) for g in groups),
+    return EquivalencePartition(groups=tuple(map(tuple, grouped.values())),
                                 pairs_compared=index.shape[1])
 
 
@@ -389,12 +416,15 @@ def series_pairs(k: int, p: float, grid_step: float | None = None,
                  ) -> tuple[tuple[ConfusionMatrix, ConfusionMatrix], ...]:
     """Cross product of the two series: every (all-classes, first-class) pair.
 
-    An immutable tuple: item ``i * n + j`` pairs the first series at
-    ``grid[i]`` with the second at ``grid[j]``. Partitions index it as the
-    outer product of its two member lists; the grid is as for a line.
+    An immutable tuple of at most ``_MAX_PAIRS`` pairs, over a grid as for a
+    line: item ``i * n + j`` pairs the first series at ``grid[i]`` with the
+    second at ``grid[j]``, and partitions index its two member lists.
     """
     pi = class_proportions(k, p)
     grid = _grid(grid, grid_step, c_lo)
+    if len(grid) ** 2 > _MAX_PAIRS:
+        raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
+                           parameter="pairs", value=len(grid) ** 2)
     return _SeriesPairs(
         [series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid],
         [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid])

@@ -32,6 +32,8 @@ from .matrix import ConfusionMatrix
 MAX_CLASSES = 1023
 # relative slack when a grid step must divide the retention range
 _STEP_TOLERANCE = 1e-9
+# grid points: step 5e-6 on [0, 1]; an OSR line at k = 3 peaks at ~160 MB
+_MAX_GRID_POINTS = 200_001
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -75,10 +77,14 @@ def _check_k(k) -> None:
                            value=k)
 
 
-def _check_c_lo(c_lo: float, grid=()) -> None:
-    """``c_lo`` lies in [0, 1) and no value of ``grid`` lies below it."""
+def _check_grid(c_lo: float, grid=()) -> None:
+    """``c_lo`` lies in [0, 1), and ``grid`` has at most
+    ``_MAX_GRID_POINTS`` values, none below ``c_lo``."""
     if not 0.0 <= c_lo < 1.0:
         raise InvalidInput("c_lo must be in [0, 1)", parameter="c_lo", value=c_lo)
+    if len(grid) > _MAX_GRID_POINTS:
+        raise InvalidInput(f"a grid has at most {_MAX_GRID_POINTS} points",
+                           parameter="grid", value=len(grid))
     below = [c for c in grid if c < c_lo]
     if below:
         raise InvalidInput(f"grid value {below[0]!r} lies below c_lo",
@@ -88,12 +94,17 @@ def _check_c_lo(c_lo: float, grid=()) -> None:
 def uniform_grid(step: float = 0.01, c_lo: float = 0.0) -> tuple[float, ...]:
     """Evenly spaced retention grid over [c_lo, 1], endpoints included.
 
-    ``step`` must divide ``1 - c_lo`` up to float noise (a relative 1e-9).
+    ``step`` must divide ``1 - c_lo`` up to float noise (a relative 1e-9),
+    and the grid has at most ``_MAX_GRID_POINTS`` points.
     """
     if not 0 < step <= 1:
         raise InvalidInput("step must be in (0, 1]", parameter="step", value=step)
-    _check_c_lo(c_lo)
+    _check_grid(c_lo)
     span = 1.0 - c_lo
+    # before round(), which fails on a subnormal step; n + 1 > max from here
+    if span / step > _MAX_GRID_POINTS - 0.5:
+        raise InvalidInput(f"a grid has at most {_MAX_GRID_POINTS} points",
+                           parameter="step", value=step)
     n = round(span / step)
     if abs(n * step - span) > _STEP_TOLERANCE * span:
         raise InvalidInput(f"step must divide the range [{c_lo}, 1]",

@@ -494,6 +494,25 @@ class TestSeriesLimits:
         assert err["parameter"] == "step"
         assert err["value"] == 0.3
 
+    def test_discriminate_rejects_grid_over_ceiling(self, capsys):
+        # 200,002 points, one over the ceiling
+        code = main(["discriminate", "--measure", "osr", "--k", "3", "--p", "0",
+                     "--grid-step", repr(1 / 200_001)])
+        assert code == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "step"
+
+    def test_equivalence_rejects_pairs_over_ceiling(self, capsys):
+        # 1,415 points give 2,002,225 pairs, just over the ceiling
+        code = main(["equivalence", "--kinds", "osr,ckc", "--k", "3", "--p", "0",
+                     "--grid-step", repr(1 / 1414)])
+        assert code == 2
+        err = strict_error(capsys)
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == "pairs"
+        assert err["value"] == 1415 ** 2
+
 
 class TestPerfectTable:
     def test_measure_scores_one(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confmeasures import discrimination
 from confmeasures import (
     ConfusionMatrix,
     InsufficientData,
@@ -16,6 +18,7 @@ from confmeasures import (
     NotComparable,
 )
 from confmeasures.discrimination import (
+    _MAX_PAIRS,
     TIE_TOLERANCE,
     ConcordanceResult,
     LineRow,
@@ -31,6 +34,7 @@ from confmeasures.discrimination import (
 from confmeasures.measures import MeasureKind as K
 from confmeasures.measures import evaluate
 from confmeasures.series import (
+    _MAX_GRID_POINTS,
     SeriesMode,
     class_proportions,
     series_matrix,
@@ -856,3 +860,225 @@ class TestSolveRows:
         tie, crossing, _, _, has_verdict = self.solve(
             [0.5], [0.5 - 5e-13, 0.5 + 1e-13, 0.5 + 5e-13])
         assert tie[0] and not crossing[0] and has_verdict[0]
+
+
+# the budget of the reference solver below
+_BISECT_ITERATIONS = 60
+
+
+def plain_solve_rows(targets, defined, samples, scan, measure_on, tie_tol):
+    """The line solver before speculation, verbatim: one stacked probe per
+    halving, 60 halvings per crossing row."""
+    g = scan[None, :] - targets[:, None]
+    tie = np.abs(g).max(axis=1) <= tie_tol
+    # first sign change in scan order, an exact zero included
+    change = (g[:, :-1] == 0.0) | (g[:, :-1] * g[:, 1:] <= 0.0)
+    crossing = ~tie & change.any(axis=1)
+    idx = change.argmax(axis=1)
+    g_lo = g[np.arange(len(g)), idx]
+    lo, hi = samples[idx], samples[idx + 1]
+    c_y = lo.copy()
+    has_verdict = defined.copy()
+    active = np.flatnonzero(has_verdict & crossing & (g_lo != 0.0))
+    for _ in range(_BISECT_ITERATIONS):
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        value, ok = measure_on(SeriesMode.FIRST_CLASS_ONLY, mid)
+        gm = value - targets[active]
+        same = (gm < 0) == (g_lo[active] < 0)
+        lo[active] = np.where(same, mid, lo[active])
+        hi[active] = np.where(same, hi[active], mid)
+        # a row retires at an undefined probe or one that hits its target
+        hit = ok & (gm == 0.0)
+        c_y[active[hit]] = mid[hit]
+        has_verdict[active[~ok]] = False
+        active = active[ok & ~hit]
+    c_y[active] = 0.5 * (lo[active] + hi[active])
+    return tie, crossing, c_y, g[:, 0] > 0, has_verdict
+
+
+
+def fake_measure(f, undefined=()):
+    """A ``measure_on`` of the value ``f(c)``, undefined on the open bands
+    ``undefined``; ``probes`` keeps the points of each call."""
+
+    def measure_on(mode, c):
+        c = np.asarray(c, dtype=float)
+        measure_on.probes.append(c)
+        ok = np.ones(c.shape, dtype=bool)
+        for a, b in undefined:
+            ok &= ~((a < c) & (c < b))
+        return f(c), ok
+
+    measure_on.probes = []
+    return measure_on
+
+
+def solve_both(f, targets, samples, undefined=()):
+    """``_solve_rows`` and the plain loop on one fake measure; the five
+    outputs of the first, which must equal the plain loop's bit for bit,
+    and the points of each stacked probe it made."""
+    targets, samples = np.asarray(targets, dtype=float), np.asarray(samples)
+    outputs = []
+    for solve in (_solve_rows, plain_solve_rows):
+        measure_on = fake_measure(f, undefined)
+        scan, scan_ok = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
+        measure_on.probes.clear()
+        outputs.append((solve(targets, np.full(targets.size, scan_ok.all()),
+                              samples, scan, measure_on, TIE_TOLERANCE),
+                        measure_on.probes))
+    (got, probes), (want, _) = outputs
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return got, probes
+
+
+class TestAgainstPlainLoop:
+    """The speculative solver against the plain loop it replaces."""
+
+    def test_discarded_undefined_probe_keeps_the_verdict(self):
+        # sqrt crosses 0.6 at 0.36; the secant through (0, -0.6) and
+        # (1, 0.4) predicts 0.6, so level 0 already leaves the predicted
+        # side and only discarded probes visit (0.7, 0.8)
+        (_, _, c_y, _, has_verdict), probes = solve_both(
+            np.sqrt, [0.6], [0.0, 1.0], undefined=[(0.7, 0.8)])
+        assert ((0.7 < probes[0]) & (probes[0] < 0.8)).any()
+        assert has_verdict[0]
+        assert c_y[0] == pytest.approx(0.36, abs=1e-15)
+
+    def test_undefined_probe_of_the_plain_loop_is_na(self):
+        (_, _, _, _, has_verdict), _ = solve_both(
+            np.sqrt, [0.6, 0.3], [0.0, 1.0], undefined=[(0.35, 0.37)])
+        assert has_verdict.tolist() == [False, True]
+
+    @pytest.mark.parametrize("f", [lambda c: c ** 9, lambda c: np.exp(30 * c),
+                                   lambda c: np.floor(c * 7) + c / 100])
+    def test_mispredicting_measures(self, f):
+        samples = np.linspace(0.0, 1.0, 5)
+        targets = np.linspace(f(samples[0]), f(samples[-1]), 23)[1:-1]
+        (_, crossing, _, _, _), probes = solve_both(f, targets, samples)
+        assert crossing.all()
+        # 60 halvings on the predicted path would take 8 stacked probes
+        assert len(probes) > 8
+
+    def test_adjacent_floats_without_a_zero(self):
+        # a step at 0.3: g is -1 or +1, never 0, so both solvers close the
+        # bracket on the two floats around the step
+        (_, crossing, c_y, _, has_verdict), _ = solve_both(
+            lambda c: np.where(c < 0.3, -1.0, 1.0), [0.0], [0.0, 0.5, 1.0])
+        assert crossing[0] and has_verdict[0]
+        assert c_y[0] in (0.3, np.nextafter(0.3, 0.0))
+
+    def test_budget_ends_before_adjacency(self):
+        # 60 halvings of [0, 1/31] leave a bracket far wider than the
+        # spacing of floats at 1e-12
+        samples = np.linspace(0.0, 1.0, 32)
+        (_, crossing, c_y, _, _), _ = solve_both(lambda c: c.copy(),
+                                                 [1e-12], samples)
+        assert crossing[0]
+        assert 0 < abs(c_y[0] - 1e-12) <= samples[1] / 2 ** 60
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 32), st.lists(st.floats(-0.5, 1.5), min_size=1,
+                                        max_size=20),
+           st.sampled_from(["curved", "step", "wave"]),
+           st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.05)),
+                    max_size=2))
+    def test_random_measures(self, n, targets, shape, bands):
+        f = {"curved": lambda c: c ** 5,
+             "step": lambda c: np.floor(c * 5) / 5 + c / 50,
+             "wave": lambda c: c + 0.3 * np.sin(12 * c)}[shape]
+        solve_both(f, targets, np.linspace(0.0, 1.0, n),
+                   undefined=[(a, a + w) for a, w in bands])
+
+    @pytest.mark.parametrize("kind,class_index", [
+        (K.OSR, None), (K.COHEN_KAPPA, None), (K.TPR, 2), (K.PPV, 2),
+        (K.F_MEASURE, 1), (K.TNR, 2)])
+    def test_pass_spanning_chunks(self, kind, class_index, monkeypatch):
+        # seven members per chunk: a pass of 8 levels spans many chunks
+        monkeypatch.setattr(discrimination, "_STACK_CELLS", 7 * 9)
+        line = discrimination_line(kind, k=3, p=0.5, class_index=class_index,
+                                   grid_step=0.05)
+        TestAgainstPerRowSolver.assert_same_rows(line, per_row_line(
+            kind, 3, 0.5, class_index, uniform_grid(0.05), 0.0))
+
+    # the paper's figure lines that have rows at k = 3
+    FIGURE_LINES = [(K.TPR, 1), (K.TNR, 1), (K.NPV, 1), (K.F_MEASURE, 1),
+                    (K.JCC, 1), (K.TPR, 2), (K.TNR, 2), (K.PPV, 2), (K.NPV, 2),
+                    (K.OSR, None), (K.COHEN_KAPPA, None), (K.SCOTT_PI, None),
+                    (K.MAXWELL_RE, None)]
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_few_probes_per_line(self, p, monkeypatch):
+        members = []
+        stack = discrimination.series_stack
+        monkeypatch.setattr(discrimination, "series_stack",
+                            lambda pi, c, mode: members.append(len(c))
+                            or stack(pi, c, mode))
+        for kind, class_index in self.FIGURE_LINES:
+            discrimination_line(kind, k=3, p=p, class_index=class_index,
+                                grid_step=0.01)
+        # series_stack calls, the targets and the scan included; one
+        # halving per probe took 47.5 calls and 2,428 members a line
+        n = len(self.FIGURE_LINES)
+        assert len(members) <= 12 * n
+        assert sum(members) <= 2_700 * n
+
+
+def fail_on_build(monkeypatch):
+    """Series members built after this fail the test."""
+    def build(*args):
+        raise AssertionError("a series member was built")
+
+    monkeypatch.setattr(discrimination, "series_stack", build)
+    monkeypatch.setattr(discrimination, "series_matrix", build)
+
+
+class TestWorkCeilings:
+    def test_line_grid_one_point_over(self, monkeypatch):
+        fail_on_build(monkeypatch)
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.OSR, 3, 0.5,
+                                grid=[0.5] * (_MAX_GRID_POINTS + 1))
+        assert exc.value.parameter == "grid"
+        assert exc.value.value == _MAX_GRID_POINTS + 1
+
+    def test_line_step_one_point_over(self, monkeypatch):
+        fail_on_build(monkeypatch)
+        with pytest.raises(InvalidInput) as exc:
+            discrimination_line(K.OSR, 3, 0.5,
+                                grid_step=1 / _MAX_GRID_POINTS)
+        assert exc.value.parameter == "step"
+
+    def test_pair_set_just_over(self, monkeypatch):
+        n = math.isqrt(_MAX_PAIRS) + 1  # n * n pairs, just over
+        fail_on_build(monkeypatch)
+        with pytest.raises(InvalidInput) as exc:
+            series_pairs(3, 0.5, grid=[0.5] * n)
+        assert exc.value.parameter == "pairs"
+        assert exc.value.value == n * n > _MAX_PAIRS
+        with pytest.raises(InvalidInput) as exc:
+            series_pairs(3, 0.5, grid_step=1 / (n - 1))
+        assert exc.value.value == n * n
+
+    def test_pair_ceiling_itself_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "_MAX_PAIRS", 16)
+        assert len(series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4])) == 16
+        with pytest.raises(InvalidInput):
+            series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4, 0.5])
+
+    def test_step_0001_partition_is_within_the_ceiling(self):
+        assert len(uniform_grid(0.001)) ** 2 <= _MAX_PAIRS
+
+    def test_custom_grid_read_no_further_than_the_ceiling(self, monkeypatch):
+        def values():
+            yield from itertools.repeat(0.5, _MAX_GRID_POINTS + 1)
+            raise AssertionError("read past the ceiling")
+
+        fail_on_build(monkeypatch)
+        for build in (lambda: discrimination_line(K.OSR, 3, 0.5, grid=values()),
+                      lambda: series_pairs(3, 0.5, grid=values())):
+            with pytest.raises(InvalidInput) as exc:
+                build()
+            assert exc.value.parameter == "grid"

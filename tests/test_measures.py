@@ -25,6 +25,7 @@ from confmeasures import (
     value_range,
 )
 from confmeasures import gt
+from confmeasures.series import SeriesMode, class_proportions, series_stack
 from conftest import random_matrix, random_matrix_with_columns
 
 K = MeasureKind
@@ -662,3 +663,74 @@ class TestEvaluateStack:
             with pytest.raises(InvalidInput) as stacked:
                 evaluate_stack(cells, kind, ci)
             assert stacked.value.to_dict() == scalar.value.to_dict()
+
+
+_SHAPES = ["any", "empty true class", "never predicted", "perfect"]
+
+
+@st.composite
+def _member_stacks(draw) -> np.ndarray:
+    """An ``(n, k, k)`` stack at k 2 to 6: series members, or count tables
+    with an empty true class (column), a class never predicted (row) or no
+    error at all."""
+    k = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        pi = class_proportions(k, draw(st.floats(0.0, 1.0)))
+        c = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+        return series_stack(pi, c, draw(st.sampled_from(list(SeriesMode))))
+    tables = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 30), min_size=k * k, max_size=k * k),
+        st.sampled_from(_SHAPES)), min_size=1, max_size=6))
+    members = []
+    for flat, shape in tables:
+        counts = np.array(flat).reshape(k, k)
+        if shape == "empty true class":
+            counts[:, -1] = 0
+        elif shape == "never predicted":
+            counts[0, :] = 0
+        elif shape == "perfect":
+            counts = np.diag(np.diag(counts))
+        if not counts.any():
+            counts[-1, 0] = 1
+        members.append(from_counts(counts).cells)
+    return np.stack(members)
+
+
+def _member_bits(values, defined, i) -> bytes | None:
+    return values[i].tobytes() if defined[i] else None
+
+
+class TestMemberIndependentOfStack:
+    """A member's value does not depend on the other members of its stack,
+    the premise on which a line solver may probe a point in any stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_member_stacks(), st.integers(0, 2**32 - 1))
+    def test_evaluate_stack_bit_for_bit(self, cells, seed):
+        n, k = cells.shape[0], cells.shape[-1]
+        rng = np.random.default_rng(seed)
+        # more members around them: their transposes and the uniform matrix
+        larger = np.concatenate([cells, cells.transpose(0, 2, 1),
+                                 np.full((1, k, k), 1.0 / k ** 2)])
+        order = rng.permutation(len(larger))
+        where = np.argsort(order)[:n]
+        for kind in K:
+            for ci in (range(1, k + 1) if kind.class_specific else [None]):
+                whole = evaluate_stack(cells, kind, ci)
+                shuffled = evaluate_stack(larger[order], kind, ci)
+                for i in range(n):
+                    alone = _member_bits(*evaluate_stack(cells[i:i + 1], kind,
+                                                         ci), 0)
+                    assert _member_bits(*whole, i) == alone, (kind, ci)
+                    assert _member_bits(*shuffled, where[i]) == alone, (kind, ci)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.0, 1.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           st.sampled_from(list(SeriesMode)))
+    def test_series_stack_rows(self, k, p, c, mode):
+        pi = class_proportions(k, p)
+        stack = series_stack(pi, c, mode)
+        for i in range(len(c)):
+            row = series_stack(pi, c[i:i + 1], mode)[0]
+            assert stack[i].tobytes() == row.tobytes()

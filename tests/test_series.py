@@ -1,5 +1,6 @@
 """Tests for class-proportion interpolation and controlled matrix series."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from confmeasures import InvalidInput
 from confmeasures.measures import MeasureKind, evaluate_stack, overall_measure
 from confmeasures.series import (
+    _MAX_GRID_POINTS,
     MAX_CLASSES,
     ProportionVector,
     SeriesMode,
@@ -241,3 +243,29 @@ class TestGridStep:
         grid = uniform_grid(step=step, c_lo=c_lo)
         expected = tuple(float(v) for v in np.linspace(c_lo, 1.0, n))
         assert grid == expected
+
+
+class TestGridCeiling:
+    def test_ceiling_itself_is_accepted(self):
+        assert len(uniform_grid(1 / (_MAX_GRID_POINTS - 1))) == _MAX_GRID_POINTS
+        assert len(uniform_grid(1e-5)) == 100_001
+
+    @pytest.mark.parametrize("step,c_lo", [(1 / _MAX_GRID_POINTS, 0.0),
+                                           (0.4 / _MAX_GRID_POINTS, 0.6)])
+    def test_one_point_over_rejected_before_any_work(self, step, c_lo):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput) as exc:
+                uniform_grid(step, c_lo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.parameter == "step"
+        assert exc.value.value == step
+        assert peak < 100_000  # the grid would take megabytes
+
+    def test_subnormal_step_rejected(self):
+        # the quotient 1 / step is infinite and cannot be rounded
+        with pytest.raises(InvalidInput) as exc:
+            uniform_grid(5e-324)
+        assert exc.value.parameter == "step"
