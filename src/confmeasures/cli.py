@@ -204,6 +204,9 @@ def cmd_plot(args) -> int:
     paths: list[str] = []
     for item in args.input:
         paths.extend(tok for tok in item.split(",") if tok.strip())
+    if not paths:
+        raise InvalidInput("no line CSV path given", parameter="input",
+                           value=args.input)
     lines = []
     for path in paths:
         rows = parse_line_csv(path)

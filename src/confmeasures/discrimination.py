@@ -61,19 +61,20 @@ class Preference(enum.Enum):
     TIE = "tie"
 
 
-def _verdict(a, b, tie_tol):
-    """+1 where ``a`` ranks above ``b`` by more than ``tie_tol``, -1 where
-    ``b`` ranks above ``a`` by more, 0 for a tie; on floats or arrays."""
-    return np.subtract(a > b + tie_tol, b > a + tie_tol, dtype=np.int8)
+def _verdict(a, b):
+    """+1 where ``a`` ranks above ``b`` by more than ``TIE_TOLERANCE``, -1
+    where ``b`` ranks above ``a`` by more, 0 for a tie; on floats or arrays."""
+    return np.subtract(a > b + TIE_TOLERANCE, b > a + TIE_TOLERANCE,
+                       dtype=np.int8)
 
 
 _PREFERENCES = {1: Preference.FIRST, -1: Preference.SECOND, 0: Preference.TIE}
 
 
 def preference(kind: MeasureKind, first: ConfusionMatrix,
-               second: ConfusionMatrix, class_index: int | None = None,
-               tie_tolerance: float = TIE_TOLERANCE) -> Preference:
-    """Which matrix the measure ranks higher; ties within ``tie_tolerance``."""
+               second: ConfusionMatrix,
+               class_index: int | None = None) -> Preference:
+    """Which matrix the measure ranks higher; ties within ``TIE_TOLERANCE``."""
     va = evaluate(first, kind, class_index)
     vb = evaluate(second, kind, class_index)
     if not va.defined or not vb.defined:
@@ -81,7 +82,7 @@ def preference(kind: MeasureKind, first: ConfusionMatrix,
             f"{kind.short_name} is undefined on one of the matrices",
             parameter="kind", value=kind.short_name,
         )
-    return _PREFERENCES[int(_verdict(va.value, vb.value, tie_tolerance))]
+    return _PREFERENCES[int(_verdict(va.value, vb.value))]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,9 +122,7 @@ class DiscriminationLine:
 def discrimination_line(kind: MeasureKind, k: int, p: float,
                         class_index: int | None = None,
                         grid_step: float | None = None, c_lo: float = 0.0,
-                        grid=None,
-                        tie_tolerance: float = TIE_TOLERANCE,
-                        ) -> DiscriminationLine:
+                        grid=None) -> DiscriminationLine:
     """Solve measure(second series at c_y) = measure(first series at c_x)
     for every c_x on the grid, by bisection over c_y in [c_lo, 1].
 
@@ -149,7 +148,7 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
     scan, scan_defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
     solved = _solve_rows(targets, has_target & scan_defined.all(), samples,
-                         scan, measure_on, tie_tolerance)
+                         scan, measure_on, TIE_TOLERANCE)
     tie, crossing, c_y, second, has_verdict = (a.tolist() for a in solved)
     rows = []
     for r, c_x in enumerate(grid):
@@ -311,8 +310,7 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
 
 
 def _verdicts(kind: MeasureKind, stacks, index: np.ndarray,
-              class_index: int | None,
-              tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+              class_index: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair verdict of one kind and where it is defined on both sides.
 
     ``kind`` is evaluated once on each stack of ``_index_pairs``. The verdict
@@ -324,13 +322,12 @@ def _verdicts(kind: MeasureKind, stacks, index: np.ndarray,
     values, defined = np.zeros(size), np.zeros(size, dtype=bool)
     for group, cells in stacks:
         values[group], defined[group] = evaluate_stack(cells, kind, ci)
-    verdict = _verdict(values[index[0]], values[index[1]], tie_tol)
+    verdict = _verdict(values[index[0]], values[index[1]])
     return verdict, defined[index[0]] & defined[index[1]]
 
 
 def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
-                class_index: int | None = None,
-                tie_tolerance: float = TIE_TOLERANCE) -> ConcordanceResult:
+                class_index: int | None = None) -> ConcordanceResult:
     """Count pairs on which the two measures issue the same verdict.
 
     ``pairs`` is any iterable of (first, second) ConfusionMatrix tuples,
@@ -341,8 +338,8 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
     excluded from the total and reported separately.
     """
     stacks, index = _index_pairs(pairs, class_index)
-    va, da = _verdicts(kind_a, stacks, index, class_index, tie_tolerance)
-    vb, db = _verdicts(kind_b, stacks, index, class_index, tie_tolerance)
+    va, da = _verdicts(kind_a, stacks, index, class_index)
+    vb, db = _verdicts(kind_b, stacks, index, class_index)
     both = da & db
     total = int(both.sum())
     return ConcordanceResult(
@@ -361,7 +358,6 @@ class EquivalencePartition:
 
 
 def equivalence_classes(kinds, pairs, class_index: int | None = None,
-                        tie_tolerance: float = TIE_TOLERANCE,
                         ) -> EquivalencePartition:
     """Partition ``kinds`` by rank concordance over ``pairs``.
 
@@ -381,8 +377,7 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
 
-    verdicts = [_verdicts(kind, stacks, index, class_index, tie_tolerance)
-                for kind in kinds]
+    verdicts = [_verdicts(kind, stacks, index, class_index) for kind in kinds]
     parent = list(range(len(kinds)))
 
     def find(x: int) -> int:

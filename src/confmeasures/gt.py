@@ -66,16 +66,15 @@ class GtIndexResult:
 
 
 def fit_quasi_independence(m: ConfusionMatrix,
-                           tol: float = CONVERGENCE_TOL,
                            max_iterations: int = MAX_ITERATIONS,
                            ) -> QuasiIndependenceFit:
     """Fit p_ij = a_i * b_j (i != j) by alternating margin matching.
 
     Starts from a_i = 1/k and b_j = off-diagonal column sum; each iteration
     updates all a_i from the off-diagonal row sums, then all b_j from the
-    off-diagonal column sums. Stops when the largest parameter change drops
-    below ``tol``. A zero off-diagonal row or column pins its parameter at 0;
-    a nonzero margin whose denominator is 0 raises ``NoConvergence``.
+    off-diagonal column sums, until no parameter moves by ``CONVERGENCE_TOL``
+    or more. A zero off-diagonal row or column pins its parameter at 0; a
+    nonzero margin whose denominator is 0 raises ``NoConvergence``.
     """
     k = m.k
     if k < 3:
@@ -101,7 +100,7 @@ def fit_quasi_independence(m: ConfusionMatrix,
         a, b = ab[:k], ab[k:]
         _margin_update(row, prev[k:], out=a)
         _margin_update(col, a, out=b)
-        if np.abs(ab - prev).max() < tol:
+        if np.abs(ab - prev).max() < CONVERGENCE_TOL:
             iterations = it
             break
     else:
@@ -142,10 +141,10 @@ def _residual(off: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(off - rec).max())
 
 
-def gt_index(m: ConfusionMatrix, tol: float = CONVERGENCE_TOL,
+def gt_index(m: ConfusionMatrix,
              max_iterations: int = MAX_ITERATIONS) -> GtIndexResult:
     """Per-class chance-corrected hit rates from the quasi-independence fit."""
-    fit = fit_quasi_independence(m, tol=tol, max_iterations=max_iterations)
+    fit = fit_quasi_independence(m, max_iterations=max_iterations)
     col = m.col_sums()
     theta: list[float | None] = []
     for ix in range(m.k):

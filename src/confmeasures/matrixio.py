@@ -1,9 +1,9 @@
 """Reading and writing confusion matrices and line tables.
 
-CSV matrices are plain comma-separated numeric rows with an optional header
-line (detected by a non-numeric first token). JSON matrices are either a bare
-2-D array or an object with a "cells" key. Numbers are serialized at 12
-significant digits; identical inputs produce byte-identical outputs.
+CSV matrices are plain comma-separated numeric rows after optional header
+lines, each detected by a non-numeric first token. JSON matrices are either
+a bare 2-D array or an object with a "cells" key. Numbers are serialized at
+12 significant digits; identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -49,12 +50,11 @@ def parse_matrix(doc: MatrixDocument) -> ConfusionMatrix:
     """Load, optionally transpose, and validate a matrix document."""
     path = pathlib.Path(doc.path)
     if not path.exists():
-        raise InvalidInput(f"input file does not exist: {doc.path}",
-                           parameter="input", value=doc.path)
+        raise _input_error(f"input file does not exist: {doc.path}", doc.path)
     if doc.resolved_format() == "json":
-        grid = _load_json(path)
+        grid = _numbers(_json_rows(path), _json_number, path)
     else:
-        grid = _load_csv(path)
+        grid = _numbers(_csv_rows(path), float, path)
     arr = np.asarray(grid, dtype=float)
     if doc.transpose:
         arr = arr.T
@@ -63,104 +63,106 @@ def parse_matrix(doc: MatrixDocument) -> ConfusionMatrix:
     return ConfusionMatrix(arr)
 
 
+def _input_error(message: str, path) -> InvalidInput:
+    """An error about the input file as a whole."""
+    return InvalidInput(message, parameter="input", value=str(path))
+
+
+def _cell_error(path, r: int, c: int, what: str, tok) -> InvalidInput:
+    return InvalidInput(f"{path}: row {r}, column {c}: {what}: {tok!r}",
+                        parameter=f"cell({r},{c})", value=tok)
+
+
 def _unreadable(path, exc: Exception) -> InvalidInput:
     """The error for an input file that cannot be read as text."""
     if isinstance(exc, UnicodeDecodeError):
         why = f"not valid text ({exc.reason} at byte {exc.start})"
     else:
         why = getattr(exc, "strerror", None) or str(exc)
-    return InvalidInput(f"cannot read input file {path}: {why}",
-                        parameter="input", value=str(path))
+    return _input_error(f"cannot read input file {path}: {why}", path)
 
 
-def _read_records(path) -> list[list[str]]:
-    """The CSV records of ``path``; an unreadable file is InvalidInput."""
+def _read_records(path) -> list[tuple[int, list[str]]]:
+    """The non-blank CSV records of ``path`` as (line, stripped tokens), blank
+    lines counted; an unreadable file is InvalidInput."""
     try:
         with pathlib.Path(path).open(newline="", encoding="utf-8-sig") as fh:
-            return list(csv.reader(fh))
+            records = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(path, exc) from exc
+    stripped = ((r, [tok.strip() for tok in record])
+                for r, record in enumerate(records, start=1))
+    return [(r, tokens) for r, tokens in stripped if any(tokens)]
 
 
-def _load_json(path: pathlib.Path):
+def _csv_rows(path: pathlib.Path) -> list[tuple[int, list[str]]]:
+    """The records of a CSV matrix after its header: every leading record
+    whose first token is not a number."""
+    records = _read_records(path)
+    for i, (_, tokens) in enumerate(records):
+        try:
+            float(tokens[0])
+        except ValueError:
+            continue
+        return records[i:]
+    return []
+
+
+def _json_rows(path: pathlib.Path) -> list[tuple[int, list]]:
+    """The rows of a JSON matrix, numbered by their position in the array."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"invalid JSON in {path}: {exc}", parameter="input",
-                           value=str(path)) from exc
+    except (ValueError, RecursionError) as exc:
+        # besides bad syntax: an integer past the digit limit, deep nesting
+        raise _input_error(f"invalid JSON in {path}: {exc}", path) from exc
     if isinstance(data, dict):
         if "cells" not in data:
-            raise InvalidInput("JSON matrix object needs a 'cells' key",
-                               parameter="input", value=str(path))
+            raise _input_error("JSON matrix object needs a 'cells' key", path)
         data = data["cells"]
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise InvalidInput("JSON matrix must be a 2-D array",
-                           parameter="input", value=str(path))
-    rows = []
-    for r, row in enumerate(data, start=1):
-        vals = []
-        for c, cell in enumerate(row, start=1):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool):
-                raise InvalidInput(
-                    f"row {r}, column {c}: not a number: {cell!r}",
-                    parameter=f"cell({r},{c})", value=cell,
-                )
-            vals.append(float(cell))
-        rows.append(vals)
-    _check_rectangular(rows, path)
-    return rows
+        raise _input_error("JSON matrix must be a 2-D array", path)
+    return list(enumerate(data, start=1))
 
 
-def _load_csv(path: pathlib.Path):
+def _json_number(cell) -> float:
+    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        raise TypeError(cell)
+    return float(cell)  # OverflowError for an integer past the float range
+
+
+def _numbers(records, number, path) -> list[list[float]]:
+    """The numbered ``records`` as rows of floats, ``number`` turning one
+    token into a float. A token it rejects is a cell error; then a row whose
+    width differs from the first row's, or no row at all, is an input error."""
     rows = []
-    for r, record in enumerate(_read_records(path), start=1):
-        if not record or all(tok.strip() == "" for tok in record):
-            continue
-        first = record[0].strip()
-        if rows == [] and not _is_number(first):
-            continue  # header line
-        vals = []
-        for c, tok in enumerate(record, start=1):
-            tok = tok.strip()
-            if not _is_number(tok):
-                raise InvalidInput(
-                    f"row {r}, column {c}: not a number: {tok!r}",
-                    parameter=f"cell({r},{c})", value=tok,
-                )
-            vals.append(float(tok))
-        rows.append(vals)
+    for r, tokens in records:
+        row = []
+        for c, tok in enumerate(tokens, start=1):
+            try:
+                row.append(number(tok))
+            except (TypeError, ValueError, OverflowError):
+                raise _cell_error(path, r, c, "not a number", tok) from None
+        rows.append(row)
     if not rows:
-        raise InvalidInput(f"no numeric rows in {path}", parameter="input",
-                           value=str(path))
-    _check_rectangular(rows, path)
+        raise _input_error(f"no numeric rows in {path}", path)
+    for (r, _), row in zip(records, rows):
+        if len(row) != len(rows[0]):
+            raise _input_error(f"row {r} has {len(row)} columns, "
+                               f"expected {len(rows[0])}", path)
     return rows
 
 
-def _check_rectangular(rows, path):
-    width = len(rows[0])
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise InvalidInput(
-                f"row {r} has {len(row)} columns, expected {width}",
-                parameter="input", value=str(path),
-            )
-
-
-def _is_number(tok: str) -> bool:
+def _retention(path, r: int, c: int, tok: str) -> float:
+    """``tok`` as a number in [0, 1]; NaN and the infinities are not."""
     try:
-        float(tok)
+        value = float(tok)
     except ValueError:
-        return False
-    return True
-
-
-def _is_retention(tok: str) -> bool:
-    """A number in [0, 1]; NaN and the infinities are not."""
-    return _is_number(tok) and 0.0 <= float(tok) <= 1.0
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise _cell_error(path, r, c, "not a number in [0, 1]", tok)
+    return value
 
 
 def write_matrix_csv(m: ConfusionMatrix, path) -> None:
@@ -183,43 +185,28 @@ def line_csv_text(line: DiscriminationLine) -> str:
 
 def parse_line_csv(path) -> list[LineRow]:
     """Read back a discrimination-line CSV written by ``write_line_csv``."""
-    reader = iter(_read_records(path))
+    records = _read_records(path)
+    if not records or records[0] != (1, ["c_x", "c_y", "crossing",
+                                         "preference"]):
+        raise _input_error(
+            f"not a discrimination-line CSV (bad header): {path}", path)
     rows = []
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != [
-            "c_x", "c_y", "crossing", "preference"]:
-        raise InvalidInput(
-            f"not a discrimination-line CSV (bad header): {path}",
-            parameter="input", value=str(path),
-        )
-    for r, record in enumerate(reader, start=2):
-        if not record or all(t.strip() == "" for t in record):
-            continue
-        if len(record) != 4:
-            raise InvalidInput(f"row {r}: expected 4 columns",
-                               parameter="input", value=str(path))
-        c_x, c_y, crossing, pref = (t.strip() for t in record)
-        if not _is_retention(c_x):
-            raise _cell_error(path, r, 1, "not a number in [0, 1]", c_x)
-        if c_y != "" and not _is_retention(c_y):
-            raise _cell_error(path, r, 2, "not a number in [0, 1]", c_y)
+    for r, tokens in records[1:]:
+        if len(tokens) != 4:
+            raise _input_error(f"row {r}: expected 4 columns", path)
+        c_x, c_y, crossing, pref = tokens
+        c_x = _retention(path, r, 1, c_x)
+        # only a row that does not cross may leave c_y empty
+        c_y = (None if c_y == "" and crossing != "1"
+               else _retention(path, r, 2, c_y))
         if crossing not in ("0", "1"):
             raise _cell_error(path, r, 3, "crossing must be 0 or 1",
                               crossing)
-        if pref != "na" and pref not in _PREFERENCES:
+        if pref not in _PREFERENCES:
             raise _cell_error(path, r, 4, "not a preference", pref)
-        rows.append(LineRow(
-            c_x=float(c_x),
-            c_y=None if c_y == "" else float(c_y),
-            crossing=crossing == "1",
-            preference=None if pref == "na" else Preference(pref),
-        ))
+        rows.append(LineRow(c_x=c_x, c_y=c_y, crossing=crossing == "1",
+                            preference=_PREFERENCES[pref]))
     return rows
 
 
-_PREFERENCES = {p.value for p in Preference}
-
-
-def _cell_error(path, r: int, c: int, what: str, tok: str) -> InvalidInput:
-    return InvalidInput(f"{path}: row {r}, column {c}: {what}: {tok!r}",
-                        parameter=f"cell({r},{c})", value=tok)
+_PREFERENCES = {"na": None} | {p.value: p for p in Preference}

@@ -312,6 +312,7 @@ class TestPlotCommand:
         ("0.5,,0,winner", 4, "winner"),
         ("-1,0.25,1,tie", 1, "-1"),
         ("0.5,2.0,1,tie", 2, "2.0"),
+        ("0.5,,1,tie", 2, ""),  # a crossing row needs its c_y
     ])
     def test_bad_token_names_row_and_column(self, tmp_path, capsys, record,
                                             column, token):
@@ -576,8 +577,13 @@ class TestFuzz:
         argv = ["measure", "--input", str(path)] + (["--counts"] if counts else [])
         fails_with_one_json_line(capsys, argv)
 
-    @pytest.mark.parametrize("text", ["5", '"x"', "{}", '{"cells": 3}',
-                                      "[[1, 0], [0]]", "[1, 2]", "[[", ""])
+    @pytest.mark.parametrize("text", [
+        "5", '"x"', "{}", '{"cells": 3}', "[[1, 0], [0]]", "[1, 2]", "[[", "",
+        "[]", '{"cells": []}',
+        pytest.param("[[1" + "0" * 400 + ", 0], [0, 1]]", id="past-float"),
+        pytest.param("[[1" + "0" * 5000 + ", 0], [0, 1]]", id="5000-digits"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="100000-deep"),
+    ])
     def test_malformed_json_documents(self, tmp_path, capsys, text):
         path = tmp_path / "m.json"
         path.write_text(text)
@@ -588,8 +594,8 @@ class TestFuzz:
         BAD_TOKENS + ["yes", "winner", "", "1,2"]))
     def test_line_csv(self, tmp_path, capsys, column, bad):
         record = ["0.5", "0.25", "1", "tie"]
-        if bad == "" and column in (1, 3):
-            bad = "x"  # an empty c_y or a trailing empty token can be valid
+        if bad == "" and column == 3:
+            bad = "x"  # a trailing empty token can be valid
         record[column] = bad
         path = tmp_path / "l.csv"
         path.write_text("c_x,c_y,crossing,preference\n0.1,,0,second\n"
@@ -629,7 +635,7 @@ class TestFuzz:
         ["discriminate", "--measure", "osr", "--class", "1", "--k", "3",
          "--p", "0"],
         ["equivalence", "--kinds", "osr,bogus", "--k", "3", "--p", "0"],
-        ["plot", "--svg", "x.svg"],
+        ["plot", "--svg", "x.svg"], ["plot", "--input", ",", "--svg", "x.svg"],
     ])
     def test_other_flags(self, capsys, argv):
         fails_with_one_json_line(capsys, argv)

@@ -64,13 +64,6 @@ class TestPreference:
         assert (preference(K.OSR, first_classifier, first_classifier)
                 == Preference.TIE)
 
-    def test_tolerance_widens_ties(self, first_classifier, second_classifier):
-        strict = preference(K.OSR, first_classifier, second_classifier)
-        assert strict != Preference.TIE
-        loose = preference(K.OSR, first_classifier, second_classifier,
-                           tie_tolerance=1.0)
-        assert loose == Preference.TIE
-
     def test_class_specific_kinds(self, first_classifier, second_classifier):
         got = preference(K.TPR, first_classifier, second_classifier,
                          class_index=2)

@@ -33,8 +33,9 @@ class TestCsvParsing:
         assert m.k == 2
         assert np.asarray(m.cells)[0, 0] == 0.4
 
-    def test_header_line_is_skipped(self, tmp_path):
-        p = write(tmp_path / "m.csv", "a,b\n0.4,0.1\n0.1,0.4\n")
+    @pytest.mark.parametrize("header", ["a,b\n", "title\na,b\n"])
+    def test_header_line_is_skipped(self, tmp_path, header):
+        p = write(tmp_path / "m.csv", header + "0.4,0.1\n0.1,0.4\n")
         m = parse_matrix(MatrixDocument(p))
         assert m.k == 2
 
@@ -64,11 +65,20 @@ class TestCsvParsing:
         with pytest.raises(InvalidInput) as excinfo:
             parse_matrix(MatrixDocument(p))
         assert "row 2, column 2" in str(excinfo.value)
+        assert excinfo.value.parameter == "cell(2,2)"
+        assert excinfo.value.value == "oops"
 
-    def test_ragged_rows_rejected(self, tmp_path):
-        p = write(tmp_path / "m.csv", "0.4,0.1\n0.1,0.2,0.2\n")
-        with pytest.raises(InvalidInput):
+    @pytest.mark.parametrize("text,row", [
+        ("0.4,0.1\n0.1,0.2,0.2\n", 2),
+        ("a,b,c\n1,2,3\n\n4\n", 4),  # rows are lines of the file
+    ])
+    def test_ragged_rows_rejected(self, tmp_path, text, row):
+        p = write(tmp_path / "m.csv", text)
+        with pytest.raises(InvalidInput) as excinfo:
             parse_matrix(MatrixDocument(p))
+        assert f"row {row} has" in str(excinfo.value)
+        assert excinfo.value.parameter == "input"
+        assert excinfo.value.value == p
 
     def test_header_only_file_rejected(self, tmp_path):
         p = write(tmp_path / "m.csv", "a,b\n")
@@ -76,8 +86,11 @@ class TestCsvParsing:
             parse_matrix(MatrixDocument(p))
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(InvalidInput):
-            parse_matrix(MatrixDocument(str(tmp_path / "absent.csv")))
+        given = f"{tmp_path}/./absent.csv"
+        with pytest.raises(InvalidInput) as excinfo:
+            parse_matrix(MatrixDocument(given))
+        assert excinfo.value.parameter == "input"
+        assert excinfo.value.value == given  # as given, not normalized
 
 
 class TestJsonParsing:
@@ -102,6 +115,8 @@ class TestJsonParsing:
         with pytest.raises(InvalidInput) as excinfo:
             parse_matrix(MatrixDocument(p))
         assert "row 1, column 2" in str(excinfo.value)
+        assert excinfo.value.parameter == "cell(1,2)"
+        assert excinfo.value.value is True
 
     def test_malformed_json_rejected(self, tmp_path):
         p = write(tmp_path / "m.json", "{not json")
