@@ -203,7 +203,7 @@ def cmd_equivalence(args) -> int:
 def cmd_plot(args) -> int:
     paths: list[str] = []
     for item in args.input:
-        paths.extend(tok for tok in item.split(",") if tok.strip())
+        paths.extend(tok.strip() for tok in item.split(",") if tok.strip())
     if not paths:
         raise InvalidInput("no line CSV path given", parameter="input",
                            value=args.input)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
+import math
 
 import numpy as np
 
@@ -113,11 +114,6 @@ class DiscriminationLine:
     def points(self) -> list[tuple[float, float]]:
         return [(r.c_x, r.c_y) for r in self.rows if r.crossing]
 
-    @property
-    def no_crossing(self) -> list[tuple[float, Preference]]:
-        return [(r.c_x, r.preference) for r in self.rows
-                if not r.crossing and r.preference is not None]
-
 
 def discrimination_line(kind: MeasureKind, k: int, p: float,
                         class_index: int | None = None,
@@ -148,7 +144,7 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
     samples = np.linspace(c_lo, 1.0, _SCAN_SAMPLES)
     scan, scan_defined = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
     solved = _solve_rows(targets, has_target & scan_defined.all(), samples,
-                         scan, measure_on, TIE_TOLERANCE)
+                         scan, measure_on)
     tie, crossing, c_y, second, has_verdict = (a.tolist() for a in solved)
     rows = []
     for r, c_x in enumerate(grid):
@@ -156,7 +152,7 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
             row = LineRow(c_x, None, False, None)
         elif tie[r]:
             # both series hit the target everywhere; the tie holds at c_x itself
-            row = LineRow(c_x, min(max(c_x, c_lo), 1.0), True, Preference.TIE)
+            row = LineRow(c_x, c_x, True, Preference.TIE)
         elif crossing[r]:
             row = LineRow(c_x, c_y[r], True, Preference.TIE)
         else:
@@ -167,20 +163,21 @@ def discrimination_line(kind: MeasureKind, k: int, p: float,
                               c_lo=c_lo, rows=tuple(rows))
 
 
-def _solve_rows(targets, defined, samples, scan, measure_on, tie_tol):
+def _solve_rows(targets, defined, samples, scan, measure_on):
     """Per-row arrays ``(tie, crossing, c_y, second, has_verdict)`` of a line.
 
-    With g the scan less a row's target: a tie where |g| <= ``tie_tol`` at
-    every scan point; else a crossing at the first sign change in scan
-    order, a zero included, bisected unless g is 0 there; else g keeps one
-    strict sign, and ``second`` (g > 0 at the first scan point) is its side.
-    ``has_verdict`` is ``defined`` less the rows with an undefined probe. A
-    pass probes ``_SPECULATIVE_LEVELS`` secant-predicted midpoints per row
-    and keeps halvings up to the first undefined, on target, off the path or
-    past 60: each kept one probed plain bisection's own midpoint.
+    With g the scan less a row's target: a tie where |g| <=
+    ``TIE_TOLERANCE`` at every scan point; else a crossing at the first sign
+    change in scan order, a zero included, bisected unless g is 0 there;
+    else g keeps one strict sign, and ``second`` (g > 0 at the first scan
+    point) is its side. ``has_verdict`` is ``defined`` less the rows with an
+    undefined probe. A pass probes ``_SPECULATIVE_LEVELS`` secant-predicted
+    midpoints per row and keeps halvings up to the first undefined, on
+    target, off the path or past 60: each kept one probed plain bisection's
+    own midpoint.
     """
     g = scan[None, :] - targets[:, None]
-    tie = np.abs(g).max(axis=1) <= tie_tol
+    tie = np.abs(g).max(axis=1) <= TIE_TOLERANCE
     # first sign change in scan order, an exact zero included
     change = (g[:, :-1] == 0.0) | (g[:, :-1] * g[:, 1:] <= 0.0)
     crossing = ~tie & change.any(axis=1)
@@ -254,21 +251,11 @@ class ConcordanceResult:
 
 
 class _SeriesPairs(tuple):
-    """The pairs ``(xs[i], ys[j])`` at items ``i * len(ys) + j``, keeping
-    ``members = (xs, ys)``; ``+`` and slices give plain tuples."""
+    """The ``series_pairs`` of n members per series: item ``i * n + j`` is
+    ``(xs[i], ys[j])``. It holds nothing but its items; ``+`` and slices give
+    plain tuples."""
 
-    def __new__(cls, xs, ys):
-        self = super().__new__(cls, itertools.product(xs, ys))
-        object.__setattr__(self, "members", (tuple(xs), tuple(ys)))
-        return self
-
-    def __getnewargs__(self):
-        return self.members
-
-    def __setattr__(self, *args):
-        raise AttributeError("a series pair set cannot be changed")
-
-    __delattr__ = __setattr__
+    __slots__ = ()
 
 
 def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
@@ -276,16 +263,18 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
     slots of its members, and a ``(2, n_pairs)`` slot index; a given
     ``class_index`` is checked against the k of every stack.
 
-    A series pair set is indexed as the outer product of its members. Other
-    matrices are told apart by identity; the list of pairs keeps them alive
-    while ids are taken, so a freed id is never reused.
+    A series pair set is indexed as the outer product of its n + n members,
+    read from its items: the firsts of every n-th item and the seconds of the
+    first n. Other matrices are told apart by identity; the list of pairs
+    keeps them alive while ids are taken, so a freed id is never reused.
     """
     if isinstance(pairs, _SeriesPairs):
-        xs, ys = pairs.members
-        matrices = xs + ys
-        index = np.stack([np.repeat(np.arange(len(xs)), len(ys)),
-                          np.tile(np.arange(len(xs), len(matrices)), len(xs))])
-        groups = [np.arange(len(matrices))] if matrices else []
+        n = math.isqrt(len(pairs))
+        matrices = ([x for x, _ in pairs[::max(n, 1)]]
+                    + [y for _, y in pairs[:n]])
+        index = np.stack([np.repeat(np.arange(n), n),
+                          np.tile(np.arange(n, 2 * n), n)])
+        groups = [np.arange(2 * n)] if n else []
     else:
         pairs = list(pairs)
         slots: dict[int, int] = {}
@@ -378,13 +367,7 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
 
     verdicts = [_verdicts(kind, stacks, index, class_index) for kind in kinds]
-    parent = list(range(len(kinds)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    label = list(range(len(kinds)))  # each kind's group: one member's index
 
     for ia, ib in itertools.combinations(range(len(kinds)), 2):
         (va, da), (vb, db) = verdicts[ia], verdicts[ib]
@@ -396,12 +379,13 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
                 parameter="pairs", value=index.shape[1],
             )
         if (va == vb)[both].all():
-            parent[find(ia)] = find(ib)
+            old, new = label[ia], label[ib]
+            label = [new if x == old else x for x in label]
 
     # keyed in order of first appearance, so groups keep that order
     grouped: dict[int, list[MeasureKind]] = {}
-    for ix, kind in enumerate(kinds):
-        grouped.setdefault(find(ix), []).append(kind)
+    for x, kind in zip(label, kinds):
+        grouped.setdefault(x, []).append(kind)
     return EquivalencePartition(groups=tuple(map(tuple, grouped.values())),
                                 pairs_compared=index.shape[1])
 
@@ -413,13 +397,14 @@ def series_pairs(k: int, p: float, grid_step: float | None = None,
 
     An immutable tuple of at most ``_MAX_PAIRS`` pairs, over a grid as for a
     line: item ``i * n + j`` pairs the first series at ``grid[i]`` with the
-    second at ``grid[j]``, and partitions index its two member lists.
+    second at ``grid[j]``, and partitions index it as the outer product of
+    the members read from its items.
     """
     pi = class_proportions(k, p)
     grid = _grid(grid, grid_step, c_lo)
     if len(grid) ** 2 > _MAX_PAIRS:
         raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                            parameter="pairs", value=len(grid) ** 2)
-    return _SeriesPairs(
+    return _SeriesPairs(itertools.product(
         [series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid],
-        [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid])
+        [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid]))

@@ -33,17 +33,26 @@ def _json_value(v):
 
     Numpy scalars and arrays become Python numbers and lists, tuples become
     lists, and non-finite floats the strings "nan", "inf" and "-inf".
-    Anything else falls back to its ``repr``.
+    Anything else falls back to its ``repr``. Nested lists are converted
+    from a work list, not by recursion, so a JSON cell nested as deep as
+    ``json.loads`` reads is reported, not a ``RecursionError``.
     """
-    if isinstance(v, (np.generic, np.ndarray)):
-        v = v.tolist()
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(v)
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    return repr(v)
+    root = [v]
+    todo = [root]
+    while todo:
+        items = todo.pop()
+        for i, x in enumerate(items):
+            if isinstance(x, (np.generic, np.ndarray)):
+                x = x.tolist()
+            if isinstance(x, (list, tuple)):
+                x = list(x)
+                todo.append(x)
+            elif isinstance(x, float) and not math.isfinite(x):
+                x = str(x)
+            elif not (x is None or isinstance(x, (bool, int, float, str))):
+                x = repr(x)
+            items[i] = x
+    return root[0]
 
 
 class InvalidInput(ConfmeasuresError):

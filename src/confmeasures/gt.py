@@ -65,16 +65,15 @@ class GtIndexResult:
     fit: QuasiIndependenceFit
 
 
-def fit_quasi_independence(m: ConfusionMatrix,
-                           max_iterations: int = MAX_ITERATIONS,
-                           ) -> QuasiIndependenceFit:
+def fit_quasi_independence(m: ConfusionMatrix) -> QuasiIndependenceFit:
     """Fit p_ij = a_i * b_j (i != j) by alternating margin matching.
 
     Starts from a_i = 1/k and b_j = off-diagonal column sum; each iteration
     updates all a_i from the off-diagonal row sums, then all b_j from the
     off-diagonal column sums, until no parameter moves by ``CONVERGENCE_TOL``
     or more. A zero off-diagonal row or column pins its parameter at 0; a
-    nonzero margin whose denominator is 0 raises ``NoConvergence``.
+    nonzero margin whose denominator is 0, or no convergence within
+    ``MAX_ITERATIONS`` (read at each call), raises ``NoConvergence``.
     """
     k = m.k
     if k < 3:
@@ -94,21 +93,19 @@ def fit_quasi_independence(m: ConfusionMatrix,
 
     # a and b are halves of one buffer: one reduction finds the largest change
     ab = np.concatenate([np.full(k, 1.0 / k), col])
-    iterations = max_iterations
-    for it in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         prev, ab = ab, np.empty(2 * k)
         a, b = ab[:k], ab[k:]
         _margin_update(row, prev[k:], out=a)
         _margin_update(col, a, out=b)
         if np.abs(ab - prev).max() < CONVERGENCE_TOL:
-            iterations = it
             break
-    else:
+    else:  # every pass ran: ``iterations`` is the budget
         residual = _residual(off, a, b)
         raise NoConvergence(
-            f"fit did not converge in {max_iterations} iterations "
+            f"fit did not converge in {iterations} iterations "
             f"(residual {residual:.3e})",
-            residual=residual, parameter="max_iterations", value=max_iterations,
+            residual=residual, parameter="max_iterations", value=iterations,
         )
 
     total = a.sum()
@@ -141,10 +138,10 @@ def _residual(off: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(off - rec).max())
 
 
-def gt_index(m: ConfusionMatrix,
-             max_iterations: int = MAX_ITERATIONS) -> GtIndexResult:
-    """Per-class chance-corrected hit rates from the quasi-independence fit."""
-    fit = fit_quasi_independence(m, max_iterations=max_iterations)
+def gt_index(m: ConfusionMatrix) -> GtIndexResult:
+    """Per-class chance-corrected hit rates from the quasi-independence fit,
+    within the ``MAX_ITERATIONS`` budget of ``fit_quasi_independence``."""
+    fit = fit_quasi_independence(m)
     col = m.col_sums()
     theta: list[float | None] = []
     for ix in range(m.k):

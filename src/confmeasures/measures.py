@@ -292,10 +292,9 @@ def evaluate_stack(cells: np.ndarray, kind: MeasureKind,
     return _divide(po - pe, den, defined), defined
 
 
-def round_half_up(x: float, places: int = 2) -> float:
-    """Decimal display rounding; exact halves go up (0.685 -> 0.69)."""
-    q = Decimal(10) ** -places
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(x: float) -> float:
+    """Decimal display rounding to 2 places; halves go up (0.685 -> 0.69)."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,7 +337,7 @@ class MeasureReport:
 def _fmt(v: MeasureValue) -> str:
     if not v.defined:
         return "undef"
-    return f"{round_half_up(v.value, 2):.2f}"
+    return f"{round_half_up(v.value):.2f}"
 
 
 def report(m: ConfusionMatrix) -> MeasureReport:

@@ -280,6 +280,13 @@ class TestPlotCommand:
         assert "osr" in text
         assert "tpr1" in text
 
+    def test_comma_split_paths_are_stripped(self, tmp_path):
+        a = self.make_line_csv(tmp_path, "osr.csv", "osr")
+        b = self.make_line_csv(tmp_path, "tpr1.csv", "tpr", ("--class", "1"))
+        svg = tmp_path / "both.svg"
+        assert main(["plot", "--input", f" {a} , {b} ", "--svg", str(svg)]) == 0
+        assert "osr" in svg.read_text() and "tpr1" in svg.read_text()
+
     def test_byte_determinism(self, tmp_path):
         line_csv = self.make_line_csv(tmp_path, "osr.csv", "osr")
         s1 = tmp_path / "one.svg"
@@ -588,6 +595,17 @@ class TestFuzz:
         path = tmp_path / "m.json"
         path.write_text(text)
         fails_with_one_json_line(capsys, ["measure", "--input", str(path)])
+
+    @pytest.mark.parametrize("cell", [
+        "true", '"0.5"', "[[1]]",
+        pytest.param("[" * 700 + "1" + "]" * 700, id="700-deep"),
+    ])
+    def test_json_cell_error_reports_the_cell(self, tmp_path, capsys, cell):
+        path = tmp_path / "m.json"
+        path.write_text(f"[[{cell}, 0], [0, 1]]")
+        err = fails_with_one_json_line(capsys, ["measure", "--input", str(path)])
+        assert err["parameter"] == "cell(1,1)"
+        assert json.dumps(err["value"]) == cell
 
     @no_fixture_check
     @given(column=st.integers(0, 3), bad=st.sampled_from(

@@ -1,6 +1,7 @@
 """Tests for discrimination lines, concordance, and equivalence grouping."""
 
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -102,8 +103,9 @@ class TestAccuracyLine:
         assert line.points == [
             (r.c_x, r.c_y) for r in line.rows if r.crossing
         ]
-        covered = len(line.points) + len(line.no_crossing)
-        assert covered == len(line.rows)
+        sided = [r for r in line.rows
+                 if not r.crossing and r.preference is not None]
+        assert len(line.points) + len(sided) == len(line.rows)
 
 
 class TestRecallLines:
@@ -824,7 +826,7 @@ class TestSolveRows:
 
         targets, samples = np.array(targets), np.array(samples)
         return _solve_rows(targets, np.ones(targets.size, dtype=bool),
-                           samples, samples.copy(), measure_on, TIE_TOLERANCE)
+                           samples, samples.copy(), measure_on)
 
     def test_rows_retire_independently(self):
         # first sign changes in [0, 0.5], [0.5, 1] and [0, 0.5]
@@ -914,12 +916,13 @@ def solve_both(f, targets, samples, undefined=()):
     and the points of each stacked probe it made."""
     targets, samples = np.asarray(targets, dtype=float), np.asarray(samples)
     outputs = []
-    for solve in (_solve_rows, plain_solve_rows):
+    for solve in (_solve_rows, functools.partial(plain_solve_rows,
+                                                 tie_tol=TIE_TOLERANCE)):
         measure_on = fake_measure(f, undefined)
         scan, scan_ok = measure_on(SeriesMode.FIRST_CLASS_ONLY, samples)
         measure_on.probes.clear()
         outputs.append((solve(targets, np.full(targets.size, scan_ok.all()),
-                              samples, scan, measure_on, TIE_TOLERANCE),
+                              samples, scan, measure_on),
                         measure_on.probes))
     (got, probes), (want, _) = outputs
     for a, b in zip(got, want):

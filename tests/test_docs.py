@@ -1,5 +1,10 @@
-"""The README's code runs as printed, and the package exports what it lists."""
+"""The README's code runs as printed, the package exports what it lists and
+every name the benchmark's tracer wraps, and the sources parse as the oldest
+Python that ``requires-python`` admits."""
 
+import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -31,3 +36,24 @@ def test_every_exported_name_resolves():
     assert len(set(confmeasures.__all__)) == len(confmeasures.__all__)
     for name in confmeasures.__all__:
         assert getattr(confmeasures, name, None) is not None, name
+
+
+def test_benchmark_patch_points_resolve():
+    # the traced benchmark run wraps these names and fails on a missing one
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.PATCH_POINTS
+    for module, attr, *_ in tracer.PATCH_POINTS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    assert hasattr(confmeasures.ConfusionMatrix, "__post_init__")
+
+
+def test_sources_parse_as_python_3_10():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted(
+        (ROOT / "scripts").rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))

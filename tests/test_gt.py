@@ -1,12 +1,14 @@
 """Tests for the quasi-independence fit and the chance-floor index built on it."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from confmeasures import gt
 from confmeasures import (
     ConfmeasuresError,
     ConfusionMatrix,
@@ -158,8 +160,9 @@ class TestErrors:
             gt_index(perfect)
 
     def test_exhausted_iterations_raise_with_residual(self, first_classifier):
-        with pytest.raises(NoConvergence) as excinfo:
-            fit_quasi_independence(first_classifier, max_iterations=1)
+        with mock.patch.object(gt, "MAX_ITERATIONS", 1), \
+                pytest.raises(NoConvergence) as excinfo:
+            fit_quasi_independence(first_classifier)
         assert excinfo.value.residual is not None
 
     def test_dominant_chance_factor_rejected(self):
@@ -392,15 +395,15 @@ class TestAgainstReferenceFit:
             counts[0, 0] = 1
         m = from_counts(counts)
         want = _outcome(lambda: _reference_fit(m, max_iterations=max_iterations))
-        got = _outcome(lambda: fit_quasi_independence(
-            m, max_iterations=max_iterations))
+        # patched in the body: a hypothesis test takes no function fixture
+        with mock.patch.object(gt, "MAX_ITERATIONS", max_iterations):
+            got = _outcome(lambda: fit_quasi_independence(m))
+            theta = _outcome(lambda: tuple(map(_bits, gt_index(m).theta)))
         if want[0] == "error":
             assert got == want
             return
         (_, fit), (_, ref) = got, want
         assert (_bits(fit.a), _bits(fit.b), fit.iterations, _bits(fit.residual)) \
             == (_bits(ref.a), _bits(ref.b), ref.iterations, _bits(ref.residual))
-        theta = _outcome(lambda: tuple(map(_bits, gt_index(
-            m, max_iterations=max_iterations).theta)))
         assert theta == _outcome(lambda: tuple(map(_bits,
                                                    _reference_theta(m, ref))))
