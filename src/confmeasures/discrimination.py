@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -250,12 +250,49 @@ class ConcordanceResult:
         return None if self.total == 0 else self.concordant / self.total
 
 
-class _SeriesPairs(tuple):
-    """The ``series_pairs`` of n members per series: item ``i * n + j`` is
-    ``(xs[i], ys[j])``. It holds nothing but its items; ``+`` and slices give
-    plain tuples."""
+class _SeriesPairs(Sequence):
+    """The ``series_pairs`` of members ``xs`` and ``ys``, n of each: item
+    ``i * n + j`` is ``(xs[i], ys[j])``. The item tuple is built when an item
+    is first read and then kept; ``len`` and partitions read the members. It
+    equals the tuple of its items, and ``+`` and slices give plain tuples."""
 
-    __slots__ = ()
+    __slots__ = ("_xs", "_ys", "_items")
+
+    def __init__(self, xs: tuple, ys: tuple):
+        self._xs, self._ys, self._items = xs, ys, None
+
+    def _pairs(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(itertools.product(self._xs, self._ys))
+        return self._items
+
+    def __len__(self):
+        return len(self._xs) * len(self._ys)
+
+    def __getitem__(self, i):
+        return self._pairs()[i]
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __add__(self, other):
+        if isinstance(other, _SeriesPairs):
+            other = other._pairs()
+        return self._pairs() + other
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return other + self._pairs()
+        return NotImplemented
+
+    def __eq__(self, other):
+        return self._pairs() == other
+
+    def __hash__(self):
+        return hash(self._pairs())
+
+    def __reduce__(self):
+        return _SeriesPairs, (self._xs, self._ys)
 
 
 def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
@@ -264,19 +301,22 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
     ``class_index`` is checked against the k of every stack.
 
     A series pair set is indexed as the outer product of its n + n members,
-    read from its items: the firsts of every n-th item and the seconds of the
-    first n. Other matrices are told apart by identity; the list of pairs
-    keeps them alive while ids are taken, so a freed id is never reused.
+    read from the set itself without building its items. Any other iterable
+    is read up to one pair past ``_MAX_PAIRS``, and more pairs are an error;
+    its matrices are told apart by identity, and the list of pairs keeps
+    them alive while ids are taken, so a freed id is never reused.
     """
     if isinstance(pairs, _SeriesPairs):
-        n = math.isqrt(len(pairs))
-        matrices = ([x for x, _ in pairs[::max(n, 1)]]
-                    + [y for _, y in pairs[:n]])
+        n = len(pairs._xs)
+        matrices = pairs._xs + pairs._ys
         index = np.stack([np.repeat(np.arange(n), n),
                           np.tile(np.arange(n, 2 * n), n)])
         groups = [np.arange(2 * n)] if n else []
     else:
-        pairs = list(pairs)
+        pairs = list(itertools.islice(pairs, _MAX_PAIRS + 1))
+        if len(pairs) > _MAX_PAIRS:
+            raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
+                               parameter="pairs")
         slots: dict[int, int] = {}
         by_k: dict[int, list[int]] = {}
         matrices = []
@@ -319,12 +359,12 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
                 class_index: int | None = None) -> ConcordanceResult:
     """Count pairs on which the two measures issue the same verdict.
 
-    ``pairs`` is any iterable of (first, second) ConfusionMatrix tuples,
-    generators included; a ``series_pairs`` result is indexed as the outer
-    product of its members. Each kind is evaluated once per distinct matrix,
-    and ``class_index`` is checked against every k, also for multiclass
-    kinds. Pairs where either measure is undefined on either matrix are
-    excluded from the total and reported separately.
+    ``pairs`` is any iterable of at most ``_MAX_PAIRS`` (first, second)
+    ConfusionMatrix tuples, generators included; a ``series_pairs`` result
+    is indexed as the outer product of its members. Each kind is evaluated
+    once per distinct matrix, and ``class_index`` is checked against every
+    k, also for multiclass kinds. Pairs where either measure is undefined
+    on either matrix are excluded from the total and reported separately.
     """
     stacks, index = _index_pairs(pairs, class_index)
     va, da = _verdicts(kind_a, stacks, index, class_index)
@@ -392,19 +432,20 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 
 def series_pairs(k: int, p: float, grid_step: float | None = None,
                  c_lo: float = 0.0, grid=None,
-                 ) -> tuple[tuple[ConfusionMatrix, ConfusionMatrix], ...]:
+                 ) -> Sequence[tuple[ConfusionMatrix, ConfusionMatrix]]:
     """Cross product of the two series: every (all-classes, first-class) pair.
 
-    An immutable tuple of at most ``_MAX_PAIRS`` pairs, over a grid as for a
-    line: item ``i * n + j`` pairs the first series at ``grid[i]`` with the
-    second at ``grid[j]``, and partitions index it as the outer product of
-    the members read from its items.
+    A read-only sequence of at most ``_MAX_PAIRS`` pairs, over a grid as for
+    a line: item ``i * n + j`` pairs the first series at ``grid[i]`` with the
+    second at ``grid[j]``. It holds the 2n members, builds its item tuple the
+    first time an item is read, and equals that tuple; partitions index it as
+    the outer product of the members, without building the items.
     """
     pi = class_proportions(k, p)
     grid = _grid(grid, grid_step, c_lo)
     if len(grid) ** 2 > _MAX_PAIRS:
         raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                            parameter="pairs", value=len(grid) ** 2)
-    return _SeriesPairs(itertools.product(
-        [series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid],
-        [series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid]))
+    return _SeriesPairs(
+        tuple(series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid),
+        tuple(series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid))

@@ -463,6 +463,29 @@ class TestSeriesPairSet:
             assert (res.total, res.concordant, res.excluded) == (0, 0, 0)
 
 
+class TestSeriesMembersBuiltOneByOne:
+    """The benchmark's trace reads ``series.matrix_us`` from calls to
+    ``discrimination.series_matrix`` (``bench/tracer.py``); with no such
+    call that layer is empty and a traced run fails. So ``series_pairs``
+    builds each member with it, and a partition reads the members without
+    building the pair items."""
+
+    def test_members_through_series_matrix(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return series_matrix(*args)
+
+        monkeypatch.setattr(discrimination, "series_matrix", counted)
+        pairs = series_pairs(3, 0.5, grid_step=0.25)
+        assert len(calls) == 2 * 5
+        assert len(pairs) == 25 and pairs._items is None
+        equivalence_classes([K.OSR, K.COHEN_KAPPA, K.CSI], pairs)
+        consistency(K.OSR, K.CSI, pairs)
+        assert pairs._items is None and len(calls) == 2 * 5
+
+
 class TestUnusedClassIndex:
     """A class index is checked against k also when no kind is
     class-specific."""
@@ -1063,6 +1086,26 @@ class TestWorkCeilings:
         assert len(series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4])) == 16
         with pytest.raises(InvalidInput):
             series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4, 0.5])
+
+    def test_caller_pair_set_over_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "_MAX_PAIRS", 16)
+        pairs = series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4])
+        res = consistency(K.OSR, K.CSI, list(pairs))
+        assert res.total + res.excluded == 16
+
+        def generated():
+            yield from itertools.chain(pairs, pairs[:1])
+            raise AssertionError("read past the ceiling")
+
+        for source in (lambda: list(pairs) + [pairs[0]], generated):
+            for call in (
+                    lambda: consistency(K.OSR, K.CSI, source()),
+                    lambda: equivalence_classes([K.OSR, K.CSI], source()),
+                    lambda: equivalence_classes([K.OSR], source())):
+                with pytest.raises(InvalidInput) as exc:
+                    call()
+                assert str(exc.value) == "a pair set has at most 16 pairs"
+                assert exc.value.parameter == "pairs"
 
     def test_step_0001_partition_is_within_the_ceiling(self):
         assert len(uniform_grid(0.001)) ** 2 <= _MAX_PAIRS

@@ -15,6 +15,7 @@ from confmeasures import (
     evaluate,
     from_counts,
 )
+from confmeasures.matrix import SUM_TOLERANCE
 from conftest import FIRST_CLASSIFIER_COUNTS, random_matrix
 
 
@@ -77,6 +78,130 @@ class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             ConfusionMatrix(np.array([[0.5, np.nan], [0.25, 0.25]]))
+
+
+def reference_cells(cells) -> np.ndarray:
+    """The constructor's checks without a fast path for valid grids: shape,
+    class count, finite cells, signs and sum, in that order, each with its
+    error; the read-only copy of the cells when all pass."""
+    name = "cells"
+    arr = np.asarray(cells, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidInput(
+            f"{name} must be a square 2-D grid, got shape {arr.shape}",
+            parameter=name, value=arr.shape,
+        )
+    if arr.shape[0] < 2:
+        raise InvalidInput(
+            f"{name} needs at least 2 classes, got {arr.shape[0]}",
+            parameter=name, value=arr.shape[0],
+        )
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} contains non-finite cells", parameter=name,
+                           value=arr[~np.isfinite(arr)][0])
+    if (arr < 0).any():
+        i, j = np.argwhere(arr < 0)[0]
+        raise InvalidInput(
+            f"cell ({i + 1}, {j + 1}) is negative",
+            parameter=f"cells[{i + 1},{j + 1}]", value=arr[i, j],
+        )
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise InvalidInput(
+            f"cells must sum to 1 within {SUM_TOLERANCE}, got {total!r}",
+            parameter="cells", value=total,
+        )
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def check_outcome(build, grid):
+    """What ``build(grid)`` gives: the error's type, message, parameter and
+    value, or the kept cells, their dtype and whether they are read-only
+    and share memory with ``grid``."""
+    try:
+        with np.errstate(over="ignore"):  # a sum of huge cells overflows
+            cells = build(grid)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "parameter", None),
+                repr(getattr(exc, "value", None)))
+    return (cells.dtype, cells.shape, cells.tobytes(), cells.flags.writeable,
+            isinstance(grid, np.ndarray) and np.shares_memory(cells, grid))
+
+
+_OFF = SUM_TOLERANCE * (1 + 1e-6)  # just past the sum tolerance
+_IN = SUM_TOLERANCE * (1 - 1e-6)  # just within it
+
+
+class TestChecksMatchReference:
+    """A valid grid takes one min and one sum; every grid must still give
+    the outcome of the full checks, error for error."""
+
+    @pytest.mark.parametrize("grid", [
+        [[0.5, np.nan], [0.25, 0.25]],
+        [[0.5, np.inf], [0.25, 0.25]],
+        [[0.5, -np.inf], [0.25, 0.25]],
+        [[np.inf, -np.inf], [np.nan, 0.0]],
+        [[0.5, -0.0], [0.25, 0.25]],
+        [[-0.0, -0.0], [-0.0, 1.0]],
+        [[0.6, -0.1], [0.3, 0.2]],
+        [[0.25, 0.25], [0.25, 0.25 + _OFF]],
+        [[0.25, 0.25], [0.25, 0.25 - _OFF]],
+        [[0.25, 0.25], [0.25, 0.25 + _IN]],
+        [[0.25, 0.25], [0.25, 0.25 - _IN]],
+        [[1e308, 1e308], [0.0, 0.0]],
+        [[0.5, 0.5]],
+        [[0.5, 0.25, 0.25], [0.0, 0.0, 0.0]],
+        [[1.0]],
+        np.zeros((0, 0)),
+        np.zeros((0, 3)),
+        np.full((2, 2, 2), 0.125),
+        [0.5, 0.5],
+        0.5,
+        np.array([[1, 0], [0, 0]]),
+        np.array([[1, 0], [0, 1]]),
+        np.array([[1, -1], [1, 0]]),
+        [[0.3, 0.2], [0.1, 0.4]],
+        np.array([[0.3, 0.2], [0.1, 0.4]], dtype=np.float32),
+        [[0.3, 0.2], [0.1]],
+    ], ids=repr)
+    def test_edge_grids(self, grid):
+        assert (check_outcome(lambda g: ConfusionMatrix(g).cells, grid)
+                == check_outcome(reference_cells, grid))
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_generated_grids(self, data):
+        shape = data.draw(st.one_of(
+            st.integers(min_value=0, max_value=5).map(lambda k: (k, k)),
+            st.tuples(st.integers(min_value=0, max_value=4),
+                      st.integers(min_value=0, max_value=4)),
+            st.sampled_from([(2, 2, 2), (4,), (1, 2, 2)])))
+        size = int(np.prod(shape))
+        form = data.draw(st.sampled_from(["array", "list", "int"]))
+        if form == "int":
+            values = st.integers(min_value=-1, max_value=1)
+            grid = np.array(data.draw(st.lists(values, min_size=size,
+                                               max_size=size)), dtype=int)
+            grid = grid.reshape(shape)
+        else:
+            grid = np.array(data.draw(st.lists(
+                st.floats(min_value=0.0, max_value=1.0), min_size=size,
+                max_size=size)), dtype=float).reshape(shape)
+            if grid.sum() > 0:
+                grid /= grid.sum()
+            cells = st.integers(min_value=0, max_value=max(size - 1, 0))
+            if size:
+                drift = data.draw(st.sampled_from([0.0, _OFF, -_OFF, _IN, -_IN]))
+                grid.flat[data.draw(cells)] += drift
+                for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+                    grid.flat[data.draw(cells)] = data.draw(st.sampled_from(
+                        [0.0, -0.0, np.nan, np.inf, -np.inf, -1e-300, 1e308]))
+            if form == "list":
+                grid = grid.tolist()
+        assert (check_outcome(lambda g: ConfusionMatrix(g).cells, grid)
+                == check_outcome(reference_cells, grid))
 
 
 class TestFromCounts:
