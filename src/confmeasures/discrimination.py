@@ -253,8 +253,8 @@ class ConcordanceResult:
 class _SeriesPairs(Sequence):
     """The ``series_pairs`` of members ``xs`` and ``ys``, n of each: item
     ``i * n + j`` is ``(xs[i], ys[j])``. The item tuple is built when an item
-    is first read and then kept; ``len`` and partitions read the members. It
-    equals the tuple of its items, and ``+`` and slices give plain tuples."""
+    is first read and then kept; ``len`` and partitions read the members.
+    ``+`` and slices give plain tuples."""
 
     __slots__ = ("_xs", "_ys", "_items")
 
@@ -279,17 +279,6 @@ class _SeriesPairs(Sequence):
         if isinstance(other, _SeriesPairs):
             other = other._pairs()
         return self._pairs() + other
-
-    def __radd__(self, other):
-        if isinstance(other, tuple):
-            return other + self._pairs()
-        return NotImplemented
-
-    def __eq__(self, other):
-        return self._pairs() == other
-
-    def __hash__(self):
-        return hash(self._pairs())
 
     def __reduce__(self):
         return _SeriesPairs, (self._xs, self._ys)

@@ -64,25 +64,9 @@ class ConfusionMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
-    @staticmethod
-    def check_stack(cells: np.ndarray) -> None:
-        """Run the checks of the constructor on every member of an
-        ``(n, k, k)`` stack of cells; the first bad member raises the error
-        its constructor raises."""
-        n, k = cells.shape[0], cells.shape[-1]
-        flat = cells.reshape(n, k * k)
-        bad = (~np.isfinite(flat).all(axis=1) | (flat < 0).any(axis=1)
-               | (np.abs(flat.sum(axis=1) - 1.0) > SUM_TOLERANCE))
-        if bad.any():
-            ConfusionMatrix(cells[int(bad.argmax())])
-
     @property
     def k(self) -> int:
         return self.cells.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        """Estimated-class marginals p_i+."""
-        return self.cells.sum(axis=1)
 
     def col_sums(self) -> np.ndarray:
         """True-class proportions p_+j."""
@@ -108,6 +92,9 @@ def from_counts(counts) -> ConfusionMatrix:
     if total == 0:
         raise EmptyMatrix("count grid has zero total instances",
                           parameter="counts", value=0)
+    if not np.isfinite(total):
+        raise InvalidInput("count grid has a total too large for a float",
+                           parameter="counts", value=total)
     return ConfusionMatrix(rounded / total)
 
 

@@ -58,9 +58,9 @@ def parse_matrix(doc: MatrixDocument) -> ConfusionMatrix:
     arr = np.asarray(grid, dtype=float)
     if doc.transpose:
         arr = arr.T
-    if doc.counts:
-        return from_counts(arr)
-    return ConfusionMatrix(arr)
+    # a sum that overflows is reported by the checks, not warned about
+    with np.errstate(over="ignore"):
+        return from_counts(arr) if doc.counts else ConfusionMatrix(arr)
 
 
 def _input_error(message: str, path) -> InvalidInput:

@@ -13,7 +13,9 @@ Two one-parameter series are derived from a grid of retention values c:
 ALL_CLASSES erodes every class at rate c; FIRST_CLASS_ONLY erodes only class 1
 and keeps the rest perfect. ``series_matrix`` builds one member of a series
 at a retention c, and ``series_stack`` many members at once, as an
-``(n, k, k)`` array of cells; both share one formula and one set of checks.
+``(n, k, k)`` array of cells; both share one formula. The proportions and
+the retentions are checked where they enter; cells built from valid ones are
+valid, so ``series_stack`` does not check its cells again.
 
 The number of classes is at most ``MAX_CLASSES`` (1023): 2^k overflows a
 float at k = 1024.
@@ -47,8 +49,8 @@ class ProportionVector:
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidInput("proportions must be a 1-D vector of length >= 2",
                                parameter="pi", value=arr.shape)
-        if (arr <= 0).any():
-            bad = int(np.flatnonzero(arr <= 0)[0])
+        if not (arr > 0).all():  # NaN included
+            bad = int(np.flatnonzero(~(arr > 0))[0])
             raise InvalidInput(f"proportion {bad + 1} is not positive",
                                parameter=f"pi[{bad + 1}]", value=arr[bad])
         total = float(arr.sum())
@@ -70,7 +72,7 @@ class SeriesMode(enum.Enum):
 
 
 def _check_k(k) -> None:
-    if not isinstance(k, int) or k < 2:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
         raise InvalidInput("k must be an integer >= 2", parameter="k", value=k)
     if k > MAX_CLASSES:
         raise InvalidInput(f"k must be at most {MAX_CLASSES}", parameter="k",
@@ -123,15 +125,12 @@ def class_proportions(k: int, p: float) -> ProportionVector:
 
 
 def _check_rates(rates: np.ndarray) -> None:
-    """Every retention rate of an ``(n, k)`` array lies in [0, 1]."""
-    # min and max cost less than a mask; a NaN fails them but is no range
-    # error here, it is left to the checks of the cells
+    """Every retention rate of an ``(n, k)`` array is a number in [0, 1]."""
+    # min and max cost less than a mask, and a NaN fails them
     if rates.size and not 0.0 <= rates.min() <= rates.max() <= 1.0:
-        bad = np.argwhere((rates < 0) | (rates > 1))
-        if bad.size:
-            member, j = bad[0]
-            raise InvalidInput(f"retention rate {j + 1} is outside [0, 1]",
-                               parameter=f"c[{j + 1}]", value=rates[member, j])
+        member, j = np.argwhere(~((rates >= 0) & (rates <= 1)))[0]
+        raise InvalidInput(f"retention rate {j + 1} is outside [0, 1]",
+                           parameter=f"c[{j + 1}]", value=rates[member, j])
 
 
 def _controlled_cells(pi: ProportionVector, rates: np.ndarray) -> np.ndarray:
@@ -168,12 +167,11 @@ def series_matrix(pi: ProportionVector, c: float, mode: SeriesMode,
 def series_stack(pi: ProportionVector, c, mode: SeriesMode) -> np.ndarray:
     """Cells of the series members at the retentions ``c``, as ``(n, k, k)``.
 
-    Member ``i`` equals ``series_matrix(pi, c[i], mode).cells`` bit for bit,
-    and every check of ``series_matrix`` runs on every member: the first bad
-    member raises the error ``series_matrix`` raises for it.
+    Member ``i`` equals ``series_matrix(pi, c[i], mode).cells`` bit for bit.
+    The retentions are checked as in ``series_matrix``, the first bad one
+    raising its error; the cells are not, since valid proportions and
+    retentions give cells that are finite, non-negative and sum to 1.
     """
     rates = _series_rates(pi.k, np.asarray(c, dtype=float).reshape(-1), mode)
     _check_rates(rates)
-    cells = _controlled_cells(pi, rates)
-    ConfusionMatrix.check_stack(cells)
-    return cells
+    return _controlled_cells(pi, rates)

@@ -536,6 +536,31 @@ class TestPerfectTable:
             assert overall[kind] == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingInput:
+    """Finite cells whose sum overflows a float end in the one-line JSON
+    error alone: numpy's overflow warning would print before it, and is an
+    error here so that an in-process run shows it."""
+
+    @pytest.mark.parametrize("command", ["measure", "gt"])
+    @pytest.mark.parametrize("name,text", [
+        ("big.csv", "1e308,1e308\n1e308,1e308\n"),
+        ("big.json", "[[1e308, 1e308], [1e308, 1e308]]"),
+    ], ids=["csv", "json"])
+    @pytest.mark.parametrize("flags,parameter", [([], "cells"),
+                                                 (["--counts"], "counts")],
+                             ids=["proportions", "counts"])
+    def test_one_json_line(self, tmp_path, capsys, command, name, text, flags,
+                           parameter):
+        path = tmp_path / name
+        path.write_text(text)
+        err = fails_with_one_json_line(
+            capsys, [command, "--input", str(path), *flags])
+        assert err["error"] == "InvalidInput"
+        assert err["parameter"] == parameter
+        assert err["value"] == "inf"
+
+
 def fails_with_one_json_line(capsys, argv) -> dict:
     """``main(argv)`` returns or exits with status 2 and prints exactly one
     strict-JSON error line on stderr."""

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmeasures import InvalidInput
+from confmeasures import ConfusionMatrix, InvalidInput
+from confmeasures.discrimination import discrimination_line
 from confmeasures.measures import MeasureKind, evaluate_stack, overall_measure
 from confmeasures.series import (
     _MAX_GRID_POINTS,
@@ -72,12 +73,31 @@ class TestClassProportions:
             class_proportions(3, 1.01)
         with pytest.raises(InvalidInput):
             class_proportions(3.0, 0.5)
+        with pytest.raises(InvalidInput):
+            class_proportions(True, 0.5)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_k(self, k):
+        assert class_proportions(k, 0.5).pi.tobytes() == \
+            class_proportions(3, 0.5).pi.tobytes()
+        line = discrimination_line(MeasureKind.OSR, k, 0.5, grid_step=0.25)
+        assert line.rows == discrimination_line(
+            MeasureKind.OSR, 3, 0.5, grid_step=0.25).rows
 
 
 class TestProportionVector:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
             ProportionVector(np.array([0.5, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("pi", [[0.5, float("nan")],
+                                    [float("nan"), 0.25, 0.75]])
+    def test_rejects_nan(self, pi):
+        with pytest.raises(InvalidInput) as exc:
+            ProportionVector(np.array(pi))
+        bad = int(np.flatnonzero(np.isnan(pi))[0]) + 1
+        assert exc.value.parameter == f"pi[{bad}]"
+        assert exc.value.message == f"proportion {bad} is not positive"
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidInput):
@@ -177,6 +197,34 @@ class TestSeriesStack:
         with pytest.raises(InvalidInput) as stacked:
             series_stack(pi, [0.2, 1.0, bad, 0.5], mode)
         assert stacked.value.to_dict() == scalar.value.to_dict()
+
+    @pytest.mark.parametrize("mode", list(SeriesMode))
+    def test_nan_retention_names_the_rate(self, mode):
+        pi = class_proportions(3, 0.5)
+        for build in (lambda: series_matrix(pi, float("nan"), mode),
+                      lambda: series_stack(pi, [0.5, float("nan")], mode)):
+            with pytest.raises(InvalidInput) as exc:
+                build()
+            assert exc.value.message == "retention rate 1 is outside [0, 1]"
+            assert exc.value.parameter == "c[1]"
+
+    @given(st.integers(min_value=2, max_value=12),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+           st.sampled_from(list(SeriesMode)))
+    @settings(max_examples=200, deadline=None)
+    def test_members_are_valid_matrices(self, k, p, c, mode):
+        # series_stack does not check its cells: valid inputs make them valid
+        pi = class_proportions(k, p)
+        for member in series_stack(pi, [0.0, 1.0, *c], mode):
+            assert ConfusionMatrix(member).cells.tobytes() == member.tobytes()
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", list(SeriesMode))
+    def test_members_at_the_class_ceiling_are_valid(self, p, mode):
+        pi = class_proportions(MAX_CLASSES, p)
+        for member in series_stack(pi, [0.0, 0.5, 1.0], mode):
+            ConfusionMatrix(member)
 
     def test_empty(self):
         pi = class_proportions(3, 0.0)
