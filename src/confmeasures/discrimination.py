@@ -25,9 +25,7 @@ from .errors import InsufficientData, InvalidInput, NotComparable
 from .matrix import ConfusionMatrix, _check_class_index
 from .measures import MeasureKind, _class_specific, evaluate, evaluate_stack
 from .series import (
-    _MAX_GRID_POINTS,
     SeriesMode,
-    _check_grid,
     class_proportions,
     series_matrix,
     series_stack,
@@ -41,19 +39,6 @@ _SPECULATIVE_LEVELS = 8  # bisection levels probed in one stack per pass
 # cells per stack: a line over a grid of large matrices is solved in chunks
 _STACK_CELLS = 1 << 20
 _MAX_PAIRS = 2_000_000  # a 1,414-point grid: ~280 MB for five kinds at k = 3
-
-
-def _grid(grid, grid_step: float | None, c_lo: float) -> list | tuple:
-    """A given ``grid`` read once, at most one value past its ceiling, and
-    checked; else the uniform grid of ``grid_step`` (0.01 when None)."""
-    if grid is None:
-        return uniform_grid(0.01 if grid_step is None else grid_step, c_lo)
-    if grid_step is not None:
-        raise InvalidInput("grid_step cannot be given with a grid",
-                           parameter="grid_step", value=grid_step)
-    grid = list(itertools.islice(grid, _MAX_GRID_POINTS + 1))
-    _check_grid(c_lo, grid)
-    return grid
 
 
 class Preference(enum.Enum):
@@ -117,20 +102,20 @@ class DiscriminationLine:
 
 def discrimination_line(kind: MeasureKind, k: int, p: float,
                         class_index: int | None = None,
-                        grid_step: float | None = None, c_lo: float = 0.0,
-                        grid=None) -> DiscriminationLine:
+                        grid_step: float = 0.01, c_lo: float = 0.0,
+                        ) -> DiscriminationLine:
     """Solve measure(second series at c_y) = measure(first series at c_x)
-    for every c_x on the grid, by bisection over c_y in [c_lo, 1].
+    for every c_x of ``uniform_grid(grid_step, c_lo)``, by bisection over
+    c_y in [c_lo, 1].
 
     The targets are one stack, the second series is scanned once at 32
     points, and rows are decided as in ``_solve_rows``: a crossing takes 60
     halvings, up to 8 in one stacked probe along the path the secant through
     the bracket ends predicts, keeping only halvings whose probes confirm
-    it. ``grid_step`` (0.01 when None) and ``grid`` exclude each other, and
-    ``c_lo`` in [0, 1) lies below every value of ``grid``.
+    it.
     """
     pi = class_proportions(k, p)
-    grid = _grid(grid, grid_step, c_lo)
+    grid = uniform_grid(grid_step, c_lo)
 
     def measure_on(mode: SeriesMode, c) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(c, dtype=float)
@@ -251,10 +236,10 @@ class ConcordanceResult:
 
 
 class _SeriesPairs(Sequence):
-    """The ``series_pairs`` of members ``xs`` and ``ys``, n of each: item
-    ``i * n + j`` is ``(xs[i], ys[j])``. The item tuple is built when an item
-    is first read and then kept; ``len`` and partitions read the members.
-    ``+`` and slices give plain tuples."""
+    """The ``series_pairs`` of members ``xs`` and ``ys``, n >= 2 of each (one
+    per grid point): item ``i * n + j`` is ``(xs[i], ys[j])``. The item tuple
+    is built when an item is first read and then kept; ``len`` and partitions
+    read the members. ``+`` and slices give plain tuples."""
 
     __slots__ = ("_xs", "_ys", "_items")
 
@@ -300,7 +285,7 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
         matrices = pairs._xs + pairs._ys
         index = np.stack([np.repeat(np.arange(n), n),
                           np.tile(np.arange(n, 2 * n), n)])
-        groups = [np.arange(2 * n)] if n else []
+        groups = [np.arange(2 * n)]
     else:
         pairs = list(itertools.islice(pairs, _MAX_PAIRS + 1))
         if len(pairs) > _MAX_PAIRS:
@@ -419,19 +404,19 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
                                 pairs_compared=index.shape[1])
 
 
-def series_pairs(k: int, p: float, grid_step: float | None = None,
-                 c_lo: float = 0.0, grid=None,
+def series_pairs(k: int, p: float, grid_step: float = 0.01, c_lo: float = 0.0,
                  ) -> Sequence[tuple[ConfusionMatrix, ConfusionMatrix]]:
     """Cross product of the two series: every (all-classes, first-class) pair.
 
-    A read-only sequence of at most ``_MAX_PAIRS`` pairs, over a grid as for
-    a line: item ``i * n + j`` pairs the first series at ``grid[i]`` with the
-    second at ``grid[j]``. It holds the 2n members, builds its item tuple the
-    first time an item is read, and equals that tuple; partitions index it as
-    the outer product of the members, without building the items.
+    A read-only sequence of at most ``_MAX_PAIRS`` pairs over the grid of a
+    line, ``uniform_grid(grid_step, c_lo)``: item ``i * n + j`` pairs the
+    first series at ``grid[i]`` with the second at ``grid[j]``. It holds the
+    2n members and builds its item tuple the first time an item is read;
+    partitions index it as the outer product of the members, without
+    building the items.
     """
     pi = class_proportions(k, p)
-    grid = _grid(grid, grid_step, c_lo)
+    grid = uniform_grid(grid_step, c_lo)
     if len(grid) ** 2 > _MAX_PAIRS:
         raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                            parameter="pairs", value=len(grid) ** 2)

@@ -10,6 +10,13 @@ linear equation:
 
     c_y = (t d0 - n0) / (dn - t dd),  N = n0 + dn c_y,  D = d0 + dd c_y.
 
+ICSI = PPV + TPR - 1 and KUL = (PPV + TPR) / 2 join them: on that series
+PPV of class 1 is 1 for c_y > 0 (row 1 holds only the diagonal) and TPR of
+every other class is 1 (its column holds only the diagonal), so either
+measure is the other ratio plus a constant. PPV of class 1 is undefined at
+c_y = 0, so its ICSI and KUL lines start at c_lo = 0.5. CSI, a polynomial
+of degree up to k, stays out.
+
 The cells, counts and measures below are written out from their definitions;
 they share no code with the package or with the line solver's references.
 """
@@ -33,6 +40,11 @@ CLASS_RATIOS = {
     K.JCC: lambda tp, fp, fn, tn: (tp, tp + fp + fn),
 }
 AGREEMENT = (K.OSR, K.COHEN_KAPPA, K.SCOTT_PI, K.MAXWELL_RE)
+# (PPV, TPR) -> measure
+PAIRED = {
+    K.ICSI: lambda ppv, tpr: ppv + tpr - 1,
+    K.KULCZYNSKI: lambda ppv, tpr: (ppv + tpr) / 2,
+}
 
 
 def proportions(k, p):
@@ -75,12 +87,38 @@ def ratio(kind, class_index, cells):
     return np.trace(cells) - chance, 1 - chance
 
 
+def measure(kind, class_index, cells):
+    """``kind`` on ``cells``, or None where a denominator is 0."""
+    kinds = (K.PPV, K.TPR) if kind in PAIRED else (kind,)
+    parts = [ratio(part, class_index, cells) for part in kinds]
+    if any(d == 0 for _, d in parts):
+        return None
+    values = [n / d for n, d in parts]
+    return PAIRED[kind](*values) if kind in PAIRED else values[0]
+
+
+def second_ratio(kind, class_index, cells):
+    """(N, D) of ``kind`` on a second-series member, both affine in c_y; for
+    ICSI and KUL, the one of PPV and TPR that is not constantly 1 there."""
+    if kind not in PAIRED:
+        return ratio(kind, class_index, cells)
+    fixed, moving = (K.PPV, K.TPR) if class_index == 1 else (K.TPR, K.PPV)
+    n, d = ratio(fixed, class_index, cells)
+    assert n == d, (kind, class_index)
+    n, d = ratio(moving, class_index, cells)
+    return (n, d) if kind is K.ICSI else (n + d, 2 * d)
+
+
 def lines(k):
+    """(kind, class_index, c_lo) of every line with a closed form."""
     for kind in CLASS_RATIOS:
         for class_index in range(1, k + 1):
-            yield kind, class_index
+            yield kind, class_index, 0.0
+    for kind in PAIRED:
+        for class_index in range(1, k + 1):
+            yield kind, class_index, 0.5 if class_index == 1 else 0.0
     for kind in AGREEMENT:
-        yield kind, None
+        yield kind, None, 0.0
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -88,21 +126,23 @@ def lines(k):
 def test_every_crossing_solves_the_linear_equation(k, p):
     pi = proportions(k, p)
     crossings = 0
-    for kind, class_index in lines(k):
+    for kind, class_index, c_lo in lines(k):
         line = discrimination_line(kind, k, p, class_index=class_index,
-                                   grid_step=0.01)
-        n0, d0 = ratio(kind, class_index, second_series(pi, 0.0))
-        n1, d1 = ratio(kind, class_index, second_series(pi, 1.0))
-        for row, c_x in zip(line.rows, GRID, strict=True):
+                                   grid_step=0.01, c_lo=c_lo)
+        # N and D at c_y = 0 and 1 fix them; D at c_lo and 1 bounds it
+        n0, d0 = second_ratio(kind, class_index, second_series(pi, 0.0))
+        n1, d1 = second_ratio(kind, class_index, second_series(pi, 1.0))
+        _, d_lo = second_ratio(kind, class_index, second_series(pi, c_lo))
+        grid = [c for c in GRID if c >= c_lo]
+        for row, c_x in zip(line.rows, grid, strict=True):
             assert row.c_x == pytest.approx(c_x, abs=1e-15)
-            n_x, d_x = ratio(kind, class_index, first_series(pi, c_x))
+            t = measure(kind, class_index, first_series(pi, c_x))
             where = (kind, class_index, c_x)
             # D is affine and not negative: zero somewhere only at an end
-            if d_x == 0 or min(d0, d1) == 0:
+            if t is None or min(d_lo, d1) == 0:
                 assert row.preference is None, where
                 continue
             assert row.preference is not None, where
-            t = n_x / d_x
             num, den = t * d0 - n0, (n1 - n0) - t * (d1 - d0)
             if num == den == 0:
                 # N - t D vanishes for every c_y: a tie, held at c_x itself
@@ -113,5 +153,5 @@ def test_every_crossing_solves_the_linear_equation(k, p):
                 crossings += 1
             elif den != 0:
                 # a root well inside the range would be a crossing
-                assert not 1e-9 < num / den < 1 - 1e-9, where
+                assert not c_lo + 1e-9 < num / den < 1 - 1e-9, where
     assert crossings > 100

@@ -312,31 +312,16 @@ class TestSeriesPairs:
             assert first.k == 3
             assert second.k == 3
 
-    def test_respects_explicit_grid(self):
-        pairs = series_pairs(k=4, p=1.0, grid=(0.5, 1.0))
-        assert len(pairs) == 4
-
-    @pytest.mark.parametrize("c_lo", [-0.5, 0.9, 1.0])
-    def test_c_lo_checked_with_custom_grid(self, c_lo):
+    @pytest.mark.parametrize("c_lo", [-0.5, 1.0])
+    def test_c_lo_checked(self, c_lo):
         with pytest.raises(InvalidInput) as exc:
-            series_pairs(3, 0.0, grid=[0.5], c_lo=c_lo)
+            series_pairs(3, 0.0, grid_step=0.5, c_lo=c_lo)
         assert exc.value.parameter == "c_lo"
         assert exc.value.value == c_lo
 
-    def test_grid_from_generator(self):
-        pairs = series_pairs(3, 0.0, grid=(c for c in (0.5, 1.0)))
-        assert len(pairs) == 4
-
-    @pytest.mark.parametrize("grid_step", [7, 0.3, 0.01])
-    def test_grid_step_rejected_beside_grid(self, grid_step):
-        with pytest.raises(InvalidInput) as exc:
-            series_pairs(3, 0.0, grid=[0.5], grid_step=grid_step)
-        assert exc.value.parameter == "grid_step"
-        assert exc.value.value == grid_step
-
     def test_default_grid_step(self):
         assert len(series_pairs(3, 0.0)) == 101 * 101
-        assert len(series_pairs(3, 0.0, grid_step=None, c_lo=0.5)) == 51 * 51
+        assert len(series_pairs(3, 0.0, c_lo=0.5)) == 51 * 51
 
 
 def pair_set_error(call):
@@ -359,15 +344,20 @@ def indexed_cells(pairs):
     return [(cells[a], cells[b]) for a, b in index.T.tolist()]
 
 
+# (grid_step, c_lo) of a grid of 2 to 5 points: a share of [c_lo, 1] as step
+STEPS = st.tuples(st.sampled_from([1.0, 0.5, 1 / 3, 0.25]),
+                  st.sampled_from([0.0, 0.1, 0.5, 0.7])).map(
+    lambda share_lo: (share_lo[0] * (1 - share_lo[1]), share_lo[1]))
+
+
 class TestSeriesPairSet:
-    """``series_pairs`` returns a tuple that partitions index as the outer
+    """``series_pairs`` returns a sequence that partitions index as the outer
     product of its members; the result must equal that of the same pairs as
     a list or an iterator, errors included."""
 
     @given(st.integers(min_value=2, max_value=5),
            st.floats(min_value=0.0, max_value=1.0),
-           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
-                    max_size=4),
+           STEPS,
            st.lists(st.sampled_from(list(K)), min_size=1, max_size=4),
            st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
     @settings(max_examples=120, deadline=None)
@@ -380,28 +370,27 @@ class TestSeriesPairSet:
                     kind_a, kind_b, pairs(), class_index)))
             return found
 
-        pairs = series_pairs(k, p, grid=grid)
+        pairs = series_pairs(k, p, *grid)
         fast = outcomes(lambda: pairs)
         assert outcomes(lambda: list(pairs)) == fast
         assert outcomes(lambda: iter(pairs)) == fast
 
     @given(st.integers(min_value=2, max_value=5),
            st.floats(min_value=0.0, max_value=1.0),
-           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
-                    max_size=5))
+           STEPS)
     @settings(max_examples=60, deadline=None)
     def test_index_resolves_every_pair(self, k, p, grid):
-        pairs = series_pairs(k, p, grid=grid)
+        pairs = series_pairs(k, p, *grid)
         got = indexed_cells(pairs)
-        assert len(got) == len(grid) ** 2
+        assert len(got) == len(uniform_grid(*grid)) ** 2
         for (first, second), (a, b) in zip(pairs, got):
             assert np.array_equal(first.cells, a)
             assert np.array_equal(second.cells, b)
 
     def test_items_pair_members_by_identity(self):
-        grid = [0.0, 0.5, 0.5, 1.0]
+        grid = uniform_grid(0.25)
         pi = class_proportions(3, 0.5)
-        pairs = series_pairs(3, 0.5, grid=grid)
+        pairs = series_pairs(3, 0.5, grid_step=0.25)
         n = len(grid)
         assert len(pairs) == n * n
         xs = [pairs[i * n][0] for i in range(n)]
@@ -452,15 +441,12 @@ class TestSeriesPairSet:
             assert twin[6][0] is twin[5][0] and twin[6][1] is twin[1][1]
             assert consistency(K.OSR, K.COHEN_KAPPA, twin) == want
 
-    def test_empty_grid(self):
-        pairs = series_pairs(3, 0.0, grid=[])
-        assert len(pairs) == 0
-        for source in (pairs, []):
-            with pytest.raises(InsufficientData) as exc:
-                equivalence_classes([K.OSR, K.CSI], source)
-            assert exc.value.value == 0
-            res = consistency(K.OSR, K.CSI, source)
-            assert (res.total, res.concordant, res.excluded) == (0, 0, 0)
+    def test_empty_pair_set(self):
+        with pytest.raises(InsufficientData) as exc:
+            equivalence_classes([K.OSR, K.CSI], [])
+        assert exc.value.value == 0
+        res = consistency(K.OSR, K.CSI, [])
+        assert (res.total, res.concordant, res.excluded) == (0, 0, 0)
 
 
 class TestSeriesMembersBuiltOneByOne:
@@ -792,12 +778,12 @@ class TestAgainstPerRowSolver:
             kind, 3, 0.5, class_index, uniform_grid(0.05, 0.6), 0.6))
 
     @pytest.mark.parametrize("kind,class_index", CASES)
-    def test_custom_grid(self, kind, class_index):
-        grid = [0, 0.13, 0.5, 0.77, 0.9999, 1]
+    @pytest.mark.parametrize("step,c_lo", [(1 / 3, 0.0), (0.125, 0.5)])
+    def test_odd_grid_steps(self, kind, class_index, step, c_lo):
         line = discrimination_line(kind, k=4, p=0.25, class_index=class_index,
-                                   grid=iter(grid))
+                                   grid_step=step, c_lo=c_lo)
         self.assert_same_rows(line, per_row_line(
-            kind, 4, 0.25, class_index, grid, 0.0))
+            kind, 4, 0.25, class_index, uniform_grid(step, c_lo), c_lo))
 
     def test_argument_errors(self):
         with pytest.raises(InvalidInput) as exc:
@@ -806,34 +792,16 @@ class TestAgainstPerRowSolver:
         with pytest.raises(InvalidInput) as exc:
             discrimination_line(K.OSR, k=3, p=0.0, class_index=1)
         assert exc.value.parameter == "class_index"
-        with pytest.raises(InvalidInput) as exc:
-            discrimination_line(K.OSR, k=3, p=0.0, grid=[0.5, 1.5])
-        assert exc.value.parameter == "c[1]"
 
-    def test_empty_grid(self):
-        assert discrimination_line(K.OSR, k=3, p=0.0, grid=[]).rows == ()
-
-    @pytest.mark.parametrize("c_lo,grid", [(-0.5, [0.5]), (1.0, [1.0]),
-                                           (0.9, [0.5]), (0.6, [0.8, 0.59])])
-    def test_c_lo_checked_with_custom_grid(self, c_lo, grid):
+    @pytest.mark.parametrize("c_lo", [-0.5, 1.0])
+    def test_c_lo_checked(self, c_lo):
         with pytest.raises(InvalidInput) as exc:
-            discrimination_line(K.OSR, k=3, p=0.0, grid=grid, c_lo=c_lo)
+            discrimination_line(K.OSR, k=3, p=0.0, grid_step=0.5, c_lo=c_lo)
         assert exc.value.parameter == "c_lo"
         assert exc.value.value == c_lo
 
-    def test_custom_grid_at_c_lo_accepted(self):
-        line = discrimination_line(K.OSR, k=3, p=0.0, grid=[0.6, 1.0], c_lo=0.6)
-        assert [r.c_x for r in line.rows] == [0.6, 1.0]
-
-    @pytest.mark.parametrize("grid_step", [0.3, 7, 0.01])
-    def test_grid_step_rejected_beside_grid(self, grid_step):
-        with pytest.raises(InvalidInput) as exc:
-            discrimination_line(K.OSR, 3, 0.0, grid=[0.5], grid_step=grid_step)
-        assert exc.value.parameter == "grid_step"
-        assert exc.value.value == grid_step
-
     def test_default_grid_step(self):
-        rows = discrimination_line(K.OSR, 3, 0.0, grid_step=None).rows
+        rows = discrimination_line(K.OSR, 3, 0.0).rows
         assert [r.c_x for r in rows] == list(uniform_grid(0.01))
 
 
@@ -1055,14 +1023,6 @@ def fail_on_build(monkeypatch):
 
 
 class TestWorkCeilings:
-    def test_line_grid_one_point_over(self, monkeypatch):
-        fail_on_build(monkeypatch)
-        with pytest.raises(InvalidInput) as exc:
-            discrimination_line(K.OSR, 3, 0.5,
-                                grid=[0.5] * (_MAX_GRID_POINTS + 1))
-        assert exc.value.parameter == "grid"
-        assert exc.value.value == _MAX_GRID_POINTS + 1
-
     def test_line_step_one_point_over(self, monkeypatch):
         fail_on_build(monkeypatch)
         with pytest.raises(InvalidInput) as exc:
@@ -1074,22 +1034,19 @@ class TestWorkCeilings:
         n = math.isqrt(_MAX_PAIRS) + 1  # n * n pairs, just over
         fail_on_build(monkeypatch)
         with pytest.raises(InvalidInput) as exc:
-            series_pairs(3, 0.5, grid=[0.5] * n)
+            series_pairs(3, 0.5, grid_step=1 / (n - 1))
         assert exc.value.parameter == "pairs"
         assert exc.value.value == n * n > _MAX_PAIRS
-        with pytest.raises(InvalidInput) as exc:
-            series_pairs(3, 0.5, grid_step=1 / (n - 1))
-        assert exc.value.value == n * n
 
     def test_pair_ceiling_itself_is_accepted(self, monkeypatch):
         monkeypatch.setattr(discrimination, "_MAX_PAIRS", 16)
-        assert len(series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4])) == 16
+        assert len(series_pairs(3, 0.5, grid_step=1 / 3)) == 16
         with pytest.raises(InvalidInput):
-            series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4, 0.5])
+            series_pairs(3, 0.5, grid_step=0.25)
 
     def test_caller_pair_set_over_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(discrimination, "_MAX_PAIRS", 16)
-        pairs = series_pairs(3, 0.5, grid=[0.1, 0.2, 0.3, 0.4])
+        pairs = series_pairs(3, 0.5, grid_step=1 / 3)
         res = consistency(K.OSR, K.CSI, list(pairs))
         assert res.total + res.excluded == 16
 
@@ -1109,15 +1066,3 @@ class TestWorkCeilings:
 
     def test_step_0001_partition_is_within_the_ceiling(self):
         assert len(uniform_grid(0.001)) ** 2 <= _MAX_PAIRS
-
-    def test_custom_grid_read_no_further_than_the_ceiling(self, monkeypatch):
-        def values():
-            yield from itertools.repeat(0.5, _MAX_GRID_POINTS + 1)
-            raise AssertionError("read past the ceiling")
-
-        fail_on_build(monkeypatch)
-        for build in (lambda: discrimination_line(K.OSR, 3, 0.5, grid=values()),
-                      lambda: series_pairs(3, 0.5, grid=values())):
-            with pytest.raises(InvalidInput) as exc:
-                build()
-            assert exc.value.parameter == "grid"

@@ -51,8 +51,8 @@ def test_benchmark_patch_points_resolve():
 
 
 def test_sources_parse_as_python_3_10():
-    paths = sorted((ROOT / "src").rglob("*.py")) + sorted(
-        (ROOT / "scripts").rglob("*.py"))
+    paths = [path for part in ("src", "scripts", "tests")
+             for path in sorted((ROOT / part).rglob("*.py"))]
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),

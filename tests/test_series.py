@@ -103,6 +103,14 @@ class TestProportionVector:
         with pytest.raises(InvalidInput):
             ProportionVector(np.array([0.5, 0.6]))
 
+    def test_overflowing_sum_is_a_bad_sum(self):
+        # numpy's overflow warning is an error under this suite's settings
+        with pytest.raises(InvalidInput) as exc:
+            ProportionVector(np.array([1e308, 1e308]))
+        assert exc.value.message == "proportions must sum to 1 within 1e-12"
+        assert exc.value.parameter == "pi"
+        assert exc.value.value == float("inf")
+
     def test_read_only(self):
         pi = class_proportions(3, 0.0)
         with pytest.raises(ValueError):
@@ -129,8 +137,13 @@ class TestUniformGrid:
             uniform_grid(step=0.0)
         with pytest.raises(InvalidInput):
             uniform_grid(step=1.5)
-        with pytest.raises(InvalidInput):
-            uniform_grid(c_lo=1.0)
+
+    @pytest.mark.parametrize("c_lo", [-0.5, 1.0, float("nan")])
+    def test_c_lo_must_lie_in_unit_interval(self, c_lo):
+        with pytest.raises(InvalidInput) as exc:
+            uniform_grid(c_lo=c_lo)
+        assert exc.value.parameter == "c_lo"
+        assert exc.value.message == "c_lo must be in [0, 1)"
 
 
 class TestSeries:
