@@ -236,23 +236,27 @@ class ConcordanceResult:
 
 
 class _SeriesPairs(Sequence):
-    """The ``series_pairs`` of members ``xs`` and ``ys``, n >= 2 of each (one
-    per grid point): item ``i * n + j`` is ``(xs[i], ys[j])``. The item tuple
-    is built when an item is first read and then kept; ``len`` and partitions
-    read the members. ``+`` and slices give plain tuples."""
+    """The ``series_pairs`` of ``pi`` on ``grid``: one read-only ``(2n, k, k)``
+    stack of both series, first series first, which partitions read. The
+    first item read builds the 2n members with ``series_matrix`` and the
+    item tuple, which is kept. ``+`` and slices give plain tuples."""
 
-    __slots__ = ("_xs", "_ys", "_items")
+    __slots__ = ("_pi", "_grid", "_cells", "_items")
 
-    def __init__(self, xs: tuple, ys: tuple):
-        self._xs, self._ys, self._items = xs, ys, None
+    def __init__(self, pi, grid: tuple):
+        self._pi, self._grid, self._items = pi, grid, None
+        self._cells = np.concatenate([series_stack(pi, grid, m) for m in SeriesMode])
+        self._cells.setflags(write=False)
 
     def _pairs(self) -> tuple:
         if self._items is None:
-            self._items = tuple(itertools.product(self._xs, self._ys))
+            xs, ys = ([series_matrix(self._pi, c, mode) for c in self._grid]
+                      for mode in SeriesMode)
+            self._items = tuple(itertools.product(xs, ys))
         return self._items
 
     def __len__(self):
-        return len(self._xs) * len(self._ys)
+        return len(self._grid) ** 2
 
     def __getitem__(self, i):
         return self._pairs()[i]
@@ -266,7 +270,7 @@ class _SeriesPairs(Sequence):
         return self._pairs() + other
 
     def __reduce__(self):
-        return _SeriesPairs, (self._xs, self._ys)
+        return _SeriesPairs, (self._pi, self._grid)
 
 
 def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
@@ -274,18 +278,17 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
     slots of its members, and a ``(2, n_pairs)`` slot index; a given
     ``class_index`` is checked against the k of every stack.
 
-    A series pair set is indexed as the outer product of its n + n members,
-    read from the set itself without building its items. Any other iterable
-    is read up to one pair past ``_MAX_PAIRS``, and more pairs are an error;
-    its matrices are told apart by identity, and the list of pairs keeps
-    them alive while ids are taken, so a freed id is never reused.
+    A series pair set gives its ``(2n, k, k)`` stack as it is, indexed as
+    the outer product of its two series, with no item and no matrix built.
+    Any other iterable is read up to one pair past ``_MAX_PAIRS``, and more
+    pairs are an error; its matrices are told apart by identity, and the
+    list of pairs keeps them alive while ids are taken, so a freed id is
+    never reused.
     """
     if isinstance(pairs, _SeriesPairs):
-        n = len(pairs._xs)
-        matrices = pairs._xs + pairs._ys
-        index = np.stack([np.repeat(np.arange(n), n),
-                          np.tile(np.arange(n, 2 * n), n)])
-        groups = [np.arange(2 * n)]
+        n = len(pairs._grid)
+        index = np.indices((n, n)).reshape(2, -1) + [[0], [n]]
+        stacks = [(np.arange(2 * n), pairs._cells)]
     else:
         pairs = list(itertools.islice(pairs, _MAX_PAIRS + 1))
         if len(pairs) > _MAX_PAIRS:
@@ -303,9 +306,8 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
                     matrices.append(m)
                     by_k.setdefault(m.k, []).append(slot)
                 index[row, col] = slot
-        groups = list(by_k.values())
-    stacks = [(group, np.stack([matrices[s].cells for s in group]))
-              for group in groups]
+        stacks = [(group, np.stack([matrices[s].cells for s in group]))
+                  for group in by_k.values()]
     if class_index is not None:
         for _, cells in stacks:
             _check_class_index(cells.shape[-1], class_index)
@@ -335,7 +337,7 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
 
     ``pairs`` is any iterable of at most ``_MAX_PAIRS`` (first, second)
     ConfusionMatrix tuples, generators included; a ``series_pairs`` result
-    is indexed as the outer product of its members. Each kind is evaluated
+    is read as the stacks of its two series. Each kind is evaluated
     once per distinct matrix, and ``class_index`` is checked against every
     k, also for multiclass kinds. Pairs where either measure is undefined
     on either matrix are excluded from the total and reported separately.
@@ -411,15 +413,12 @@ def series_pairs(k: int, p: float, grid_step: float = 0.01, c_lo: float = 0.0,
     A read-only sequence of at most ``_MAX_PAIRS`` pairs over the grid of a
     line, ``uniform_grid(grid_step, c_lo)``: item ``i * n + j`` pairs the
     first series at ``grid[i]`` with the second at ``grid[j]``. It holds the
-    2n members and builds its item tuple the first time an item is read;
-    partitions index it as the outer product of the members, without
-    building the items.
+    two series as stacks, which partitions read directly; the 2n members and
+    the item tuple are built the first time an item is read.
     """
     pi = class_proportions(k, p)
     grid = uniform_grid(grid_step, c_lo)
     if len(grid) ** 2 > _MAX_PAIRS:
         raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                            parameter="pairs", value=len(grid) ** 2)
-    return _SeriesPairs(
-        tuple(series_matrix(pi, c, SeriesMode.ALL_CLASSES) for c in grid),
-        tuple(series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY) for c in grid))
+    return _SeriesPairs(pi, grid)

@@ -14,8 +14,13 @@ ICSI = PPV + TPR - 1 and KUL = (PPV + TPR) / 2 join them: on that series
 PPV of class 1 is 1 for c_y > 0 (row 1 holds only the diagonal) and TPR of
 every other class is 1 (its column holds only the diagonal), so either
 measure is the other ratio plus a constant. PPV of class 1 is undefined at
-c_y = 0, so its ICSI and KUL lines start at c_lo = 0.5. CSI, a polynomial
-of degree up to k, stays out.
+c_y = 0, so its ICSI and KUL lines start at c_lo = 0.5.
+
+CSI, the mean of ICSI over the classes, is then c_y / k for class 1 plus,
+for each class j >= 2, PPV_j / k with PPV_j = pi_j / (pi_j + (1 - c_y) a)
+and a = pi_1 / (k - 1). It rises strictly with c_y, and times the k - 1
+denominators, CSI = t is a polynomial equation of degree k: a crossing is
+its one root in [c_lo, 1], c_lo = 0.5 as for ICSI of class 1.
 
 The cells, counts and measures below are written out from their definitions;
 they share no code with the package or with the line solver's references.
@@ -23,6 +28,7 @@ they share no code with the package or with the line solver's references.
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from confmeasures.discrimination import Preference, discrimination_line
 from confmeasures.measures import MeasureKind as K
@@ -155,3 +161,54 @@ def test_every_crossing_solves_the_linear_equation(k, p):
                 # a root well inside the range would be a crossing
                 assert not c_lo + 1e-9 < num / den < 1 - 1e-9, where
     assert crossings > 100
+
+
+def csi(cells):
+    """CSI on ``cells``: the mean over the classes of ICSI."""
+    values = [measure(K.ICSI, j, cells) for j in range(1, len(cells) + 1)]
+    return sum(values) / len(values)
+
+
+def csi_polynomial(pi, t):
+    """P(c_y), zero exactly where CSI on the second series equals ``t``:
+    (c_y - k t) prod_j L_j + sum_j pi_j prod_{i != j} L_i over the classes
+    j >= 2, with L_j = pi_j + (1 - c_y) pi_1 / (k - 1) > 0."""
+    a = pi[0] / (len(pi) - 1)
+    factors = [Polynomial([q + a, -a]) for q in pi[1:]]
+    poly = Polynomial([-len(pi) * t, 1.0])
+    for factor in factors:
+        poly *= factor
+    for j, q in enumerate(pi[1:]):
+        term = Polynomial([q])
+        for i, factor in enumerate(factors):
+            if i != j:
+                term *= factor
+        poly += term
+    return poly
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_every_csi_crossing_is_a_polynomial_root(k, p):
+    pi = proportions(k, p)
+    a = pi[0] / (k - 1)
+    grid = [c for c in GRID if c >= 0.5]
+    for c_y in grid:  # the closed form against the definition
+        closed = (c_y + sum(q / (q + (1 - c_y) * a) for q in pi[1:])) / k
+        assert closed == pytest.approx(csi(second_series(pi, c_y)),
+                                       abs=1e-15)
+    line = discrimination_line(K.CSI, k, p, grid_step=0.01, c_lo=0.5)
+    crossings = 0
+    for row, c_x in zip(line.rows, grid, strict=True):
+        where = (k, p, c_x)
+        assert row.c_x == pytest.approx(c_x, abs=1e-15), where
+        assert row.preference is not None, where
+        roots = csi_polynomial(pi, csi(first_series(pi, c_x))).roots()
+        if row.crossing:
+            assert np.abs(roots - row.c_y).min() <= 1e-12, where
+            crossings += 1
+        else:
+            # a real root well inside the range would be a crossing
+            real = roots[np.abs(roots.imag) <= 1e-9].real
+            assert not ((0.5 + 1e-9 < real) & (real < 1 - 1e-9)).any(), where
+    assert crossings >= 10

@@ -449,27 +449,53 @@ class TestSeriesPairSet:
         assert (res.total, res.concordant, res.excluded) == (0, 0, 0)
 
 
-class TestSeriesMembersBuiltOneByOne:
-    """The benchmark's trace reads ``series.matrix_us`` from calls to
-    ``discrimination.series_matrix`` (``bench/tracer.py``); with no such
-    call that layer is empty and a traced run fails. So ``series_pairs``
-    builds each member with it, and a partition reads the members without
-    building the pair items."""
+class TestSeriesStacksOnly:
+    """``series_pairs`` holds the two series as one stack, which partitions
+    read with no ``series_matrix`` call; the first item read builds the 2n
+    members, each equal to its stack row bit for bit."""
 
-    def test_members_through_series_matrix(self, monkeypatch):
+    @staticmethod
+    def counted(monkeypatch):
         calls = []
 
-        def counted(*args):
+        def build(*args):
             calls.append(args)
             return series_matrix(*args)
 
-        monkeypatch.setattr(discrimination, "series_matrix", counted)
+        monkeypatch.setattr(discrimination, "series_matrix", build)
+        return calls
+
+    def test_partitions_build_no_member(self, monkeypatch):
+        calls = self.counted(monkeypatch)
         pairs = series_pairs(3, 0.5, grid_step=0.25)
-        assert len(calls) == 2 * 5
         assert len(pairs) == 25 and pairs._items is None
         equivalence_classes([K.OSR, K.COHEN_KAPPA, K.CSI], pairs)
         consistency(K.OSR, K.CSI, pairs)
-        assert pairs._items is None and len(calls) == 2 * 5
+        equivalence_classes([K.TPR, K.PPV], pairs, class_index=2)
+        assert pairs._items is None and calls == []
+
+    def test_first_item_read_builds_the_members(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        pairs = series_pairs(3, 0.5, grid_step=0.25)
+        assert calls == []
+        first = pairs[7]
+        assert len(calls) == 2 * 5
+        assert pairs[7] is first and list(pairs)[7] is first
+        assert len(calls) == 2 * 5
+
+    @pytest.mark.parametrize("k, p, step, c_lo", [
+        (2, 0.0, 0.5, 0.0), (3, 0.5, 0.1, 0.0), (4, 1.0, 0.05, 0.5),
+        (5, 0.3, 0.3, 0.1)])
+    def test_members_equal_the_stack_rows(self, k, p, step, c_lo):
+        pairs = series_pairs(k, p, grid_step=step, c_lo=c_lo)
+        n = len(uniform_grid(step, c_lo))
+        stacks, _ = _index_pairs(pairs, None)
+        (_, cells), = stacks
+        assert cells.shape == (2 * n, k, k)
+        for i, j in itertools.product(range(n), repeat=2):
+            first, second = pairs[i * n + j]
+            assert first.cells.tobytes() == cells[i].tobytes()
+            assert second.cells.tobytes() == cells[n + j].tobytes()
 
 
 class TestUnusedClassIndex:

@@ -1,6 +1,7 @@
 """The README's code runs as printed, the package exports what it lists and
-every name the benchmark's tracer wraps, and the sources parse as the oldest
-Python that ``requires-python`` admits."""
+every name the benchmark's tracer wraps, a traced ``generate`` reaches the
+wrapped ``series_matrix``, and the sources parse as the oldest Python that
+``requires-python`` admits."""
 
 import ast
 import importlib
@@ -38,16 +39,47 @@ def test_every_exported_name_resolves():
         assert getattr(confmeasures, name, None) is not None, name
 
 
-def test_benchmark_patch_points_resolve():
-    # the traced benchmark run wraps these names and fails on a missing one
+def load_bench_tracer():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_patch_points_resolve():
+    # the traced benchmark run wraps these names and fails on a missing one
+    tracer = load_bench_tracer()
     assert tracer.PATCH_POINTS
     for module, attr, *_ in tracer.PATCH_POINTS:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
     assert hasattr(confmeasures.ConfusionMatrix, "__post_init__")
+
+
+def test_traced_generate_fills_the_series_matrix_layer(tmp_path):
+    # a traced benchmark run exits 1 when no call fills ``series.matrix_us``;
+    # ``generate`` makes 2 * |grid| such calls, a series partition none
+    from confmeasures import cli, discrimination
+    from confmeasures.measures import MeasureKind as K
+
+    tracer = load_bench_tracer().Tracer()
+
+    def spans(name):
+        return sum(tracer.names[i] == name for i in tracer.name)
+
+    try:
+        tracer.instrument()
+        assert cli.main(["generate", "--k", "3", "--p", "0.5", "--grid-step",
+                         "0.25", "--output", str(tmp_path / "bundle")]) == 0
+        assert spans("series.matrix") == 10
+        assert spans("matrix.construct") == 10
+        pairs = discrimination.series_pairs(3, 0.5, grid_step=0.25)
+        discrimination.equivalence_classes([K.OSR, K.COHEN_KAPPA, K.CSI],
+                                           pairs)
+        assert spans("series.pairs") == spans("discrimination.partition") == 1
+        assert spans("series.matrix") == spans("matrix.construct") == 10
+    finally:
+        tracer.restore()
 
 
 def test_sources_parse_as_python_3_10():
