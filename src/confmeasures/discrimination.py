@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .measures import MeasureKind, _class_specific, evaluate, evaluate_stack
 from .series import (
     SeriesMode,
     class_proportions,
-    series_matrix,
+    series_matrix,  # unused: bench's tracer wraps it until ROADMAP item 1
     series_stack,
     uniform_grid,
 )
@@ -235,42 +234,14 @@ class ConcordanceResult:
         return None if self.total == 0 else self.concordant / self.total
 
 
-class _SeriesPairs(Sequence):
-    """The ``series_pairs`` of ``pi`` on ``grid``: one read-only ``(2n, k, k)``
-    stack of both series, first series first, which partitions read. The
-    first item read builds the 2n members with ``series_matrix`` and the
-    item tuple, which is kept. ``+`` and slices give plain tuples."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class _SeriesPairs:
+    """The ``series_pairs`` of one grid: the read-only ``(n, k, k)`` stacks of
+    the two series, ``first`` the ALL_CLASSES one. Its pairs are their outer
+    product, pair ``i * n + j`` being ``(first[i], second[j])``."""
 
-    __slots__ = ("_pi", "_grid", "_cells", "_items")
-
-    def __init__(self, pi, grid: tuple):
-        self._pi, self._grid, self._items = pi, grid, None
-        self._cells = np.concatenate([series_stack(pi, grid, m) for m in SeriesMode])
-        self._cells.setflags(write=False)
-
-    def _pairs(self) -> tuple:
-        if self._items is None:
-            xs, ys = ([series_matrix(self._pi, c, mode) for c in self._grid]
-                      for mode in SeriesMode)
-            self._items = tuple(itertools.product(xs, ys))
-        return self._items
-
-    def __len__(self):
-        return len(self._grid) ** 2
-
-    def __getitem__(self, i):
-        return self._pairs()[i]
-
-    def __iter__(self):
-        return iter(self._pairs())
-
-    def __add__(self, other):
-        if isinstance(other, _SeriesPairs):
-            other = other._pairs()
-        return self._pairs() + other
-
-    def __reduce__(self):
-        return _SeriesPairs, (self._pi, self._grid)
+    first: np.ndarray
+    second: np.ndarray
 
 
 def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
@@ -278,17 +249,18 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
     slots of its members, and a ``(2, n_pairs)`` slot index; a given
     ``class_index`` is checked against the k of every stack.
 
-    A series pair set gives its ``(2n, k, k)`` stack as it is, indexed as
-    the outer product of its two series, with no item and no matrix built.
+    A series pair set gives its two stacks as one, first series first,
+    indexed as their outer product, with no matrix built.
     Any other iterable is read up to one pair past ``_MAX_PAIRS``, and more
     pairs are an error; its matrices are told apart by identity, and the
     list of pairs keeps them alive while ids are taken, so a freed id is
     never reused.
     """
     if isinstance(pairs, _SeriesPairs):
-        n = len(pairs._grid)
-        index = np.indices((n, n)).reshape(2, -1) + [[0], [n]]
-        stacks = [(np.arange(2 * n), pairs._cells)]
+        n, m = len(pairs.first), len(pairs.second)
+        index = np.indices((n, m)).reshape(2, -1) + [[0], [n]]
+        stacks = [(np.arange(n + m),
+                   np.concatenate([pairs.first, pairs.second]))]
     else:
         pairs = list(itertools.islice(pairs, _MAX_PAIRS + 1))
         if len(pairs) > _MAX_PAIRS:
@@ -336,11 +308,12 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
     """Count pairs on which the two measures issue the same verdict.
 
     ``pairs`` is any iterable of at most ``_MAX_PAIRS`` (first, second)
-    ConfusionMatrix tuples, generators included; a ``series_pairs`` result
-    is read as the stacks of its two series. Each kind is evaluated
-    once per distinct matrix, and ``class_index`` is checked against every
-    k, also for multiclass kinds. Pairs where either measure is undefined
-    on either matrix are excluded from the total and reported separately.
+    ConfusionMatrix tuples, generators included, or a ``series_pairs``
+    result, whose pairs are the outer product of its two stacks. Each kind
+    is evaluated once per distinct matrix, and ``class_index`` is checked
+    against every k, also for multiclass kinds. Pairs where either measure
+    is undefined on either matrix are excluded from the total and reported
+    separately.
     """
     stacks, index = _index_pairs(pairs, class_index)
     va, da = _verdicts(kind_a, stacks, index, class_index)
@@ -394,7 +367,7 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
                 f"{kinds[ib].short_name}",
                 parameter="pairs", value=index.shape[1],
             )
-        if (va == vb)[both].all():
+        if label[ia] != label[ib] and (va == vb)[both].all():
             old, new = label[ia], label[ib]
             label = [new if x == old else x for x in label]
 
@@ -407,18 +380,22 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
 
 
 def series_pairs(k: int, p: float, grid_step: float = 0.01, c_lo: float = 0.0,
-                 ) -> Sequence[tuple[ConfusionMatrix, ConfusionMatrix]]:
+                 ) -> _SeriesPairs:
     """Cross product of the two series: every (all-classes, first-class) pair.
 
-    A read-only sequence of at most ``_MAX_PAIRS`` pairs over the grid of a
-    line, ``uniform_grid(grid_step, c_lo)``: item ``i * n + j`` pairs the
-    first series at ``grid[i]`` with the second at ``grid[j]``. It holds the
-    two series as stacks, which partitions read directly; the 2n members and
-    the item tuple are built the first time an item is read.
+    The two series on the grid of a line, ``uniform_grid(grid_step, c_lo)``,
+    as read-only ``(n, k, k)`` stacks ``first`` and ``second``; its at most
+    ``_MAX_PAIRS`` pairs are their outer product, pair ``i * n + j`` being
+    the first series at ``grid[i]`` with the second at ``grid[j]``. It is
+    read by ``consistency`` and ``equivalence_classes``, which build no
+    matrix from it; it has no items, no ``len`` and no ``+``.
     """
     pi = class_proportions(k, p)
     grid = uniform_grid(grid_step, c_lo)
     if len(grid) ** 2 > _MAX_PAIRS:
         raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                            parameter="pairs", value=len(grid) ** 2)
-    return _SeriesPairs(pi, grid)
+    stacks = [series_stack(pi, grid, mode) for mode in SeriesMode]
+    for stack in stacks:
+        stack.setflags(write=False)
+    return _SeriesPairs(*stacks)

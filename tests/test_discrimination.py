@@ -1,6 +1,7 @@
 """Tests for discrimination lines, concordance, and equivalence grouping."""
 
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -39,6 +40,7 @@ from confmeasures.series import (
     SeriesMode,
     class_proportions,
     series_matrix,
+    series_stack,
     uniform_grid,
 )
 
@@ -298,6 +300,27 @@ class TestEquivalence:
         with pytest.raises(InsufficientData):
             equivalence_classes([K.OSR, K.CSI], [])
 
+    def test_no_overlap_after_a_transitive_merge_rejected(self):
+        # OSR merges with TPR on the first pair and with TNR on the second,
+        # so TPR and TNR are in one group when they are compared, and no
+        # pair has both defined
+        def matrix(rows):
+            return ConfusionMatrix(np.array(rows, dtype=float))
+
+        pairs = [(matrix([[0.6, 0], [0.4, 0]]), matrix([[0.3, 0], [0.7, 0]])),
+                 (matrix([[0, 0.2], [0, 0.8]]), matrix([[0, 0.5], [0, 0.5]]))]
+        for kind in (K.TPR, K.TNR):
+            part = equivalence_classes([K.OSR, kind], pairs, class_index=1)
+            assert part.groups == ((K.OSR, kind),)
+        kinds = [K.OSR, K.TPR, K.TNR]
+        assert brute_partition(kinds, pairs, 1) is None
+        with pytest.raises(InsufficientData) as exc:
+            equivalence_classes(kinds, pairs, class_index=1)
+        assert exc.value.to_dict() == {
+            "error": "InsufficientData",
+            "message": "no comparable pairs for TPR vs TNR",
+            "parameter": "pairs", "value": 2}
+
     def test_groups_ordered_by_first_appearance(self):
         pairs = series_pairs(k=3, p=0.0, grid_step=0.1)
         part = equivalence_classes([K.CSI, K.OSR, K.COHEN_KAPPA], pairs)
@@ -307,10 +330,9 @@ class TestEquivalence:
 class TestSeriesPairs:
     def test_cross_product_size(self):
         pairs = series_pairs(k=3, p=0.0, grid_step=0.25)
-        assert len(pairs) == 25
-        for first, second in pairs:
-            assert first.k == 3
-            assert second.k == 3
+        assert pairs.first.shape == pairs.second.shape == (5, 3, 3)
+        part = equivalence_classes([K.OSR, K.CSI], pairs)
+        assert part.pairs_compared == 25
 
     @pytest.mark.parametrize("c_lo", [-0.5, 1.0])
     def test_c_lo_checked(self, c_lo):
@@ -320,8 +342,9 @@ class TestSeriesPairs:
         assert exc.value.value == c_lo
 
     def test_default_grid_step(self):
-        assert len(series_pairs(3, 0.0)) == 101 * 101
-        assert len(series_pairs(3, 0.0, c_lo=0.5)) == 51 * 51
+        for c_lo, n in ((0.0, 101), (0.5, 51)):
+            pairs = series_pairs(3, 0.0, c_lo=c_lo)
+            assert pairs.first.shape == pairs.second.shape == (n, 3, 3)
 
 
 def pair_set_error(call):
@@ -333,15 +356,25 @@ def pair_set_error(call):
         return type(exc), exc.parameter, exc.value, str(exc)
 
 
-def indexed_cells(pairs):
+def indexed_cells(pairs, n_pairs):
     """The cells of the (first, second) matrices that ``_index_pairs``
-    resolves each pair to, through its stacks and slot index."""
+    resolves each of the ``n_pairs`` pairs to, through its stacks and slot
+    index."""
     stacks, index = _index_pairs(pairs, None)
     cells = {}
     for group, stack in stacks:
         cells.update(zip(np.asarray(group).tolist(), stack))
-    assert index.shape == (2, len(pairs))
+    assert index.shape == (2, n_pairs)
     return [(cells[a], cells[b]) for a, b in index.T.tolist()]
+
+
+def fresh_series_pairs(k, p, grid):
+    """Series pairs built on the fly; each pair is freed once consumed."""
+    pi = class_proportions(k, p)
+    for c_x in grid:
+        for c_y in grid:
+            yield (series_matrix(pi, c_x, SeriesMode.ALL_CLASSES),
+                   series_matrix(pi, c_y, SeriesMode.FIRST_CLASS_ONLY))
 
 
 # (grid_step, c_lo) of a grid of 2 to 5 points: a share of [c_lo, 1] as step
@@ -351,9 +384,9 @@ STEPS = st.tuples(st.sampled_from([1.0, 0.5, 1 / 3, 0.25]),
 
 
 class TestSeriesPairSet:
-    """``series_pairs`` returns a sequence that partitions index as the outer
-    product of its members; the result must equal that of the same pairs as
-    a list or an iterator, errors included."""
+    """``series_pairs`` returns two stacks that partitions index as their
+    outer product; the result must equal that of the same pairs as a list
+    or a generator of matrices, errors included."""
 
     @given(st.integers(min_value=2, max_value=5),
            st.floats(min_value=0.0, max_value=1.0),
@@ -372,74 +405,54 @@ class TestSeriesPairSet:
 
         pairs = series_pairs(k, p, *grid)
         fast = outcomes(lambda: pairs)
-        assert outcomes(lambda: list(pairs)) == fast
-        assert outcomes(lambda: iter(pairs)) == fast
+        listed = list(fresh_series_pairs(k, p, uniform_grid(*grid)))
+        assert outcomes(lambda: listed) == fast
+        assert outcomes(
+            lambda: fresh_series_pairs(k, p, uniform_grid(*grid))) == fast
 
     @given(st.integers(min_value=2, max_value=5),
            st.floats(min_value=0.0, max_value=1.0),
            STEPS)
     @settings(max_examples=60, deadline=None)
     def test_index_resolves_every_pair(self, k, p, grid):
-        pairs = series_pairs(k, p, *grid)
-        got = indexed_cells(pairs)
-        assert len(got) == len(uniform_grid(*grid)) ** 2
-        for (first, second), (a, b) in zip(pairs, got):
-            assert np.array_equal(first.cells, a)
-            assert np.array_equal(second.cells, b)
-
-    def test_items_pair_members_by_identity(self):
-        grid = uniform_grid(0.25)
-        pi = class_proportions(3, 0.5)
-        pairs = series_pairs(3, 0.5, grid_step=0.25)
-        n = len(grid)
-        assert len(pairs) == n * n
-        xs = [pairs[i * n][0] for i in range(n)]
-        ys = [pairs[j][1] for j in range(n)]
-        for i, j in itertools.product(range(n), repeat=2):
-            assert pairs[i * n + j][0] is xs[i]
-            assert pairs[i * n + j][1] is ys[j]
-        for c, x, y in zip(grid, xs, ys):
-            assert np.array_equal(
-                x.cells, series_matrix(pi, c, SeriesMode.ALL_CLASSES).cells)
-            assert np.array_equal(
-                y.cells, series_matrix(pi, c, SeriesMode.FIRST_CLASS_ONLY).cells)
-        assert len({id(m) for m in xs + ys}) == 2 * n
+        pi, points = class_proportions(k, p), uniform_grid(*grid)
+        n = len(points)
+        xs, ys = (series_stack(pi, points, mode) for mode in SeriesMode)
+        got = indexed_cells(series_pairs(k, p, *grid), n * n)
+        for (i, j), (a, b) in zip(itertools.product(range(n), repeat=2), got):
+            assert a.tobytes() == xs[i].tobytes()
+            assert b.tobytes() == ys[j].tobytes()
 
     def test_cannot_be_changed(self):
         pairs = series_pairs(3, 0.0, grid_step=0.5)
-        first = pairs[0]
-        with pytest.raises(TypeError):
-            pairs[0] = pairs[1]
-        with pytest.raises(TypeError):
-            del pairs[0]
-        with pytest.raises(AttributeError):
-            pairs.append(first)
-        with pytest.raises(AttributeError):
-            pairs.members = ((), ())
-        with pytest.raises(AttributeError):
-            del pairs.members
-        assert pairs[0] is first and len(pairs) == 9
-
-    def test_concatenation_gives_plain_tuple(self):
-        a = series_pairs(3, 0.0, grid_step=0.5)
-        b = series_pairs(3, 0.5, grid_step=0.5)
-        both = a + b
-        assert type(both) is tuple and len(both) == 18
-        assert both == tuple(list(a) + list(b))
-        res = consistency(K.OSR, K.COHEN_KAPPA, both)
-        assert res == consistency(K.OSR, K.COHEN_KAPPA, list(both))
-        assert res.total + res.excluded == 18
-        with pytest.raises(TypeError):
-            [] + a
+        want = consistency(K.OSR, K.COHEN_KAPPA, pairs)
+        for stack in (pairs.first, pairs.second):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        for field in ("first", "second"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pairs, field, pairs.second)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(pairs, field)
+        assert consistency(K.OSR, K.COHEN_KAPPA, pairs) == want
 
     def test_copies_keep_the_outer_product(self):
         pairs = series_pairs(3, 0.5, grid_step=0.25)
         want = consistency(K.OSR, K.COHEN_KAPPA, pairs)
         for twin in (copy.copy(pairs), copy.deepcopy(pairs),
                      pickle.loads(pickle.dumps(pairs))):
-            assert type(twin) is type(pairs) and len(twin) == 25
-            assert twin[6][0] is twin[5][0] and twin[6][1] is twin[1][1]
+            assert type(twin) is type(pairs)
             assert consistency(K.OSR, K.COHEN_KAPPA, twin) == want
+
+    @pytest.mark.parametrize("read", [
+        len, iter, lambda pairs: pairs[0], lambda pairs: pairs + pairs],
+        ids=["len", "iter", "getitem", "add"])
+    def test_no_item_view(self, read):
+        pairs = series_pairs(3, 0.0, grid_step=0.5)
+        assert [f.name for f in dataclasses.fields(pairs)] == [
+            "first", "second"]
+        with pytest.raises(TypeError):
+            read(pairs)
 
     def test_empty_pair_set(self):
         with pytest.raises(InsufficientData) as exc:
@@ -450,52 +463,41 @@ class TestSeriesPairSet:
 
 
 class TestSeriesStacksOnly:
-    """``series_pairs`` holds the two series as one stack, which partitions
-    read with no ``series_matrix`` call; the first item read builds the 2n
-    members, each equal to its stack row bit for bit."""
-
-    @staticmethod
-    def counted(monkeypatch):
-        calls = []
-
-        def build(*args):
-            calls.append(args)
-            return series_matrix(*args)
-
-        monkeypatch.setattr(discrimination, "series_matrix", build)
-        return calls
+    """A partition reads the two stacks of ``series_pairs`` and builds no
+    ``ConfusionMatrix``; each pair it reads equals the ``series_matrix`` pair
+    bit for bit."""
 
     def test_partitions_build_no_member(self, monkeypatch):
-        calls = self.counted(monkeypatch)
+        built = []
+        post_init = ConfusionMatrix.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ConfusionMatrix, "__post_init__", counted)
         pairs = series_pairs(3, 0.5, grid_step=0.25)
-        assert len(pairs) == 25 and pairs._items is None
         equivalence_classes([K.OSR, K.COHEN_KAPPA, K.CSI], pairs)
         consistency(K.OSR, K.CSI, pairs)
         equivalence_classes([K.TPR, K.PPV], pairs, class_index=2)
-        assert pairs._items is None and calls == []
-
-    def test_first_item_read_builds_the_members(self, monkeypatch):
-        calls = self.counted(monkeypatch)
-        pairs = series_pairs(3, 0.5, grid_step=0.25)
-        assert calls == []
-        first = pairs[7]
-        assert len(calls) == 2 * 5
-        assert pairs[7] is first and list(pairs)[7] is first
-        assert len(calls) == 2 * 5
+        assert built == []
+        # the count sees a matrix built the usual way
+        series_matrix(class_proportions(3, 0.5), 0.5, SeriesMode.ALL_CLASSES)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("k, p, step, c_lo", [
         (2, 0.0, 0.5, 0.0), (3, 0.5, 0.1, 0.0), (4, 1.0, 0.05, 0.5),
         (5, 0.3, 0.3, 0.1)])
     def test_members_equal_the_stack_rows(self, k, p, step, c_lo):
-        pairs = series_pairs(k, p, grid_step=step, c_lo=c_lo)
-        n = len(uniform_grid(step, c_lo))
-        stacks, _ = _index_pairs(pairs, None)
-        (_, cells), = stacks
-        assert cells.shape == (2 * n, k, k)
-        for i, j in itertools.product(range(n), repeat=2):
-            first, second = pairs[i * n + j]
-            assert first.cells.tobytes() == cells[i].tobytes()
-            assert second.cells.tobytes() == cells[n + j].tobytes()
+        pi, grid = class_proportions(k, p), uniform_grid(step, c_lo)
+        n = len(grid)
+        got = indexed_cells(series_pairs(k, p, grid_step=step, c_lo=c_lo),
+                            n * n)
+        for (i, j), (a, b) in zip(itertools.product(range(n), repeat=2), got):
+            first = series_matrix(pi, grid[i], SeriesMode.ALL_CLASSES)
+            second = series_matrix(pi, grid[j], SeriesMode.FIRST_CLASS_ONLY)
+            assert a.tobytes() == first.cells.tobytes()
+            assert b.tobytes() == second.cells.tobytes()
 
 
 class TestUnusedClassIndex:
@@ -512,8 +514,10 @@ class TestUnusedClassIndex:
                                             class_index=class_index),
                 lambda: equivalence_classes([K.OSR], pairs,
                                             class_index=class_index),
-                lambda: consistency(K.OSR, K.CSI, list(pairs),
-                                    class_index=class_index)):
+                lambda: consistency(
+                    K.OSR, K.CSI,
+                    list(fresh_series_pairs(3, 0.0, uniform_grid(0.1))),
+                    class_index=class_index)):
             with pytest.raises(InvalidInput) as exc:
                 call()
             assert exc.value.parameter == "class_index"
@@ -545,15 +549,6 @@ class TestMissingClassIndex:
                                    class_index=2)
         assert part.groups == ((K.TPR,),)
         assert part.pairs_compared == 0
-
-
-def fresh_series_pairs(k, p, grid):
-    """Series pairs built on the fly; each pair is freed once consumed."""
-    pi = class_proportions(k, p)
-    for c_x in grid:
-        for c_y in grid:
-            yield (series_matrix(pi, c_x, SeriesMode.ALL_CLASSES),
-                   series_matrix(pi, c_y, SeriesMode.FIRST_CLASS_ONLY))
 
 
 class TestPairsFromGenerator:
@@ -701,8 +696,8 @@ class TestMixedK:
                 == brute_consistency(kind_a, kind_b, pairs, 2))
 
     def test_class_index_checked_on_every_k(self):
-        pairs = series_pairs(4, 0.0, grid_step=0.5) + series_pairs(
-            3, 0.0, grid_step=0.5)
+        pairs = [*fresh_series_pairs(4, 0.0, uniform_grid(0.5)),
+                 *fresh_series_pairs(3, 0.0, uniform_grid(0.5))]
         with pytest.raises(InvalidInput) as exc:
             consistency(K.TPR, K.PPV, pairs, class_index=4)
         assert exc.value.value == 4
@@ -1045,7 +1040,6 @@ def fail_on_build(monkeypatch):
         raise AssertionError("a series member was built")
 
     monkeypatch.setattr(discrimination, "series_stack", build)
-    monkeypatch.setattr(discrimination, "series_matrix", build)
 
 
 class TestWorkCeilings:
@@ -1066,21 +1060,23 @@ class TestWorkCeilings:
 
     def test_pair_ceiling_itself_is_accepted(self, monkeypatch):
         monkeypatch.setattr(discrimination, "_MAX_PAIRS", 16)
-        assert len(series_pairs(3, 0.5, grid_step=1 / 3)) == 16
+        pairs = series_pairs(3, 0.5, grid_step=1 / 3)
+        assert pairs.first.shape == pairs.second.shape == (4, 3, 3)
+        assert equivalence_classes([K.OSR, K.CSI], pairs).pairs_compared == 16
         with pytest.raises(InvalidInput):
             series_pairs(3, 0.5, grid_step=0.25)
 
     def test_caller_pair_set_over_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(discrimination, "_MAX_PAIRS", 16)
-        pairs = series_pairs(3, 0.5, grid_step=1 / 3)
-        res = consistency(K.OSR, K.CSI, list(pairs))
+        pairs = list(fresh_series_pairs(3, 0.5, uniform_grid(1 / 3)))
+        res = consistency(K.OSR, K.CSI, pairs)
         assert res.total + res.excluded == 16
 
         def generated():
             yield from itertools.chain(pairs, pairs[:1])
             raise AssertionError("read past the ceiling")
 
-        for source in (lambda: list(pairs) + [pairs[0]], generated):
+        for source in (lambda: pairs + [pairs[0]], generated):
             for call in (
                     lambda: consistency(K.OSR, K.CSI, source()),
                     lambda: equivalence_classes([K.OSR, K.CSI], source()),

@@ -1,6 +1,7 @@
 """The README's code runs as printed, the package exports what it lists and
 every name the benchmark's tracer wraps, a traced ``generate`` reaches the
-wrapped ``series_matrix``, and the sources parse as the oldest Python that
+wrapped ``series_matrix``, no module imports a name it does not use unless
+the tracer wraps it there, and the sources parse as the oldest Python that
 ``requires-python`` admits."""
 
 import ast
@@ -54,6 +55,30 @@ def test_benchmark_patch_points_resolve():
     for module, attr, *_ in tracer.PATCH_POINTS:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
     assert hasattr(confmeasures.ConfusionMatrix, "__post_init__")
+
+
+def unused_imports(path):
+    """The names a module binds by import and never reads, ``__future__``
+    features aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+
+
+def test_unused_imports_are_the_tracers():
+    # an import kept only for the tracer to wrap is named in PATCH_POINTS
+    wrapped = {(module, attr)
+               for module, attr, *_ in load_bench_tracer().PATCH_POINTS}
+    paths = sorted((ROOT / "src" / "confmeasures").glob("*.py"))
+    unused = {(f"confmeasures.{path.stem}", name) for path in paths
+              if path.name != "__init__.py" for name in unused_imports(path)}
+    assert unused - wrapped == set()
 
 
 def test_traced_generate_fills_the_series_matrix_layer(tmp_path):
