@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidInput, NotComparable
 from .matrix import ConfusionMatrix, _check_class_index
-from .measures import MeasureKind, _class_specific, evaluate, evaluate_stack
+from .measures import (
+    MeasureKind, _class_specific, _evaluate_kinds, evaluate, evaluate_stack,
+)
 from .series import (
     SeriesMode,
     class_proportions,
@@ -243,31 +245,37 @@ class _SeriesPairs:
     first: np.ndarray
     second: np.ndarray
 
+    def __post_init__(self):
+        for stack in (self.first, self.second):
+            stack.setflags(write=False)
 
-def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
-    """Stacks of the distinct matrices of ``pairs``, one per k, each with the
-    slots of its members, and a ``(2, n_pairs)`` slot index; a given
-    ``class_index`` is checked against the k of every stack.
+    def __reduce__(self):  # copies and pickles pass __post_init__ too
+        return _SeriesPairs, (self.first, self.second)
+
+
+def _index_pairs(pairs, class_index: int | None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct matrices of ``pairs`` as one ``(N, k, k)`` stack, and a
+    ``(2, n_pairs)`` index of each pair's members in it; a given
+    ``class_index`` is checked against k, unless there is no pair.
 
     A series pair set gives its two stacks as one, first series first,
     indexed as their outer product, with no matrix built.
-    Any other iterable is read up to one pair past ``_MAX_PAIRS``, and more
-    pairs are an error; its matrices are told apart by identity, and the
-    list of pairs keeps them alive while ids are taken, so a freed id is
-    never reused.
+    Any other iterable is read up to one pair past ``_MAX_PAIRS``; more
+    pairs, or a matrix whose k is not the first matrix's, are an error. Its matrices are
+    told apart by identity, and the list of pairs keeps them alive while ids
+    are taken, so a freed id is never reused.
     """
     if isinstance(pairs, _SeriesPairs):
         n, m = len(pairs.first), len(pairs.second)
         index = np.indices((n, m)).reshape(2, -1) + [[0], [n]]
-        stacks = [(np.arange(n + m),
-                   np.concatenate([pairs.first, pairs.second]))]
+        cells = np.concatenate([pairs.first, pairs.second])
     else:
         pairs = list(itertools.islice(pairs, _MAX_PAIRS + 1))
         if len(pairs) > _MAX_PAIRS:
             raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                                parameter="pairs")
         slots: dict[int, int] = {}
-        by_k: dict[int, list[int]] = {}
         matrices = []
         index = np.empty((2, len(pairs)), dtype=np.intp)
         for col, (first, second) in enumerate(pairs):
@@ -276,31 +284,38 @@ def _index_pairs(pairs, class_index: int | None) -> tuple[list, np.ndarray]:
                 if slot is None:
                     slot = slots[id(m)] = len(matrices)
                     matrices.append(m)
-                    by_k.setdefault(m.k, []).append(slot)
+                    if m.k != matrices[0].k:
+                        raise InvalidInput(
+                            f"pair {col + 1} holds a {m.k}-class matrix, the "
+                            f"first matrix has {matrices[0].k} classes",
+                            parameter="pairs", value=col + 1)
                 index[row, col] = slot
-        stacks = [(group, np.stack([matrices[s].cells for s in group]))
-                  for group in by_k.values()]
-    if class_index is not None:
-        for _, cells in stacks:
-            _check_class_index(cells.shape[-1], class_index)
-    return stacks, index
+        cells = np.array([m.cells for m in matrices])
+    if class_index is not None and len(cells):
+        _check_class_index(cells.shape[-1], class_index)
+    return cells, index
 
 
-def _verdicts(kind: MeasureKind, stacks, index: np.ndarray,
-              class_index: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair verdict of one kind and where it is defined on both sides.
-
-    ``kind`` is evaluated once on each stack of ``_index_pairs``. The verdict
-    is +1 when the first matrix ranks higher, -1 when the second does and 0
-    for a tie; it is meaningless where the mask is False.
+def _verdicts(kinds, cells: np.ndarray, index: np.ndarray,
+              class_index: int | None) -> list:
+    """Per-pair verdict of each of ``kinds``, from one ``_evaluate_kinds``
+    call on the stack of ``_index_pairs``, and where it is defined on both
+    sides: +1 where the first matrix ranks higher, -1 where the second does
+    and 0 for a tie. With no pair nothing is checked or evaluated.
     """
-    ci = class_index if kind.class_specific else None
-    size = sum(len(group) for group, _ in stacks)
-    values, defined = np.zeros(size), np.zeros(size, dtype=bool)
-    for group, cells in stacks:
-        values[group], defined[group] = evaluate_stack(cells, kind, ci)
-    verdict = _verdict(values[index[0]], values[index[1]])
-    return verdict, defined[index[0]] & defined[index[1]]
+    if not len(cells):
+        return [(np.zeros(0, np.int8), np.zeros(0, bool))] * len(kinds)
+    for kind in kinds:
+        _class_specific(kind, class_index if kind.class_specific else None)
+    first, second = index
+    verdicts = []
+    for kind, (values, defined) in zip(kinds, _evaluate_kinds(cells, kinds)):
+        if kind.class_specific:
+            ix = class_index - 1
+            values, defined = values[:, ix], defined[:, ix]
+        verdicts.append((_verdict(values[first], values[second]),
+                         defined[first] & defined[second]))
+    return verdicts
 
 
 def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
@@ -308,16 +323,15 @@ def consistency(kind_a: MeasureKind, kind_b: MeasureKind, pairs,
     """Count pairs on which the two measures issue the same verdict.
 
     ``pairs`` is any iterable of at most ``_MAX_PAIRS`` (first, second)
-    ConfusionMatrix tuples, generators included, or a ``series_pairs``
-    result, whose pairs are the outer product of its two stacks. Each kind
-    is evaluated once per distinct matrix, and ``class_index`` is checked
-    against every k, also for multiclass kinds. Pairs where either measure
-    is undefined on either matrix are excluded from the total and reported
-    separately.
+    ConfusionMatrix tuples of one k, generators included, or a
+    ``series_pairs`` result, whose pairs are the outer product of its two
+    stacks. Both kinds are evaluated in one pass over the distinct matrices,
+    and ``class_index`` is checked against k, also for multiclass kinds.
+    Pairs where either measure is undefined on either matrix are excluded
+    from the total and reported separately.
     """
-    stacks, index = _index_pairs(pairs, class_index)
-    va, da = _verdicts(kind_a, stacks, index, class_index)
-    vb, db = _verdicts(kind_b, stacks, index, class_index)
+    cells, index = _index_pairs(pairs, class_index)
+    (va, da), (vb, db) = _verdicts((kind_a, kind_b), cells, index, class_index)
     both = da & db
     total = int(both.sum())
     return ConcordanceResult(
@@ -349,13 +363,13 @@ def equivalence_classes(kinds, pairs, class_index: int | None = None,
     if not kinds:
         raise InvalidInput("need at least one measure kind", parameter="kinds",
                            value=kinds)
-    stacks, index = _index_pairs(pairs, class_index)
+    cells, index = _index_pairs(pairs, class_index)
     for kind in kinds:  # checked here: a single kind evaluates nothing
         _class_specific(kind, class_index if kind.class_specific else None)
     if len(kinds) == 1:
         return EquivalencePartition(groups=(tuple(kinds),), pairs_compared=0)
 
-    verdicts = [_verdicts(kind, stacks, index, class_index) for kind in kinds]
+    verdicts = _verdicts(kinds, cells, index, class_index)
     label = list(range(len(kinds)))  # each kind's group: one member's index
 
     for ia, ib in itertools.combinations(range(len(kinds)), 2):
@@ -395,7 +409,4 @@ def series_pairs(k: int, p: float, grid_step: float = 0.01, c_lo: float = 0.0,
     if len(grid) ** 2 > _MAX_PAIRS:
         raise InvalidInput(f"a pair set has at most {_MAX_PAIRS} pairs",
                            parameter="pairs", value=len(grid) ** 2)
-    stacks = [series_stack(pi, grid, mode) for mode in SeriesMode]
-    for stack in stacks:
-        stack.setflags(write=False)
-    return _SeriesPairs(*stacks)
+    return _SeriesPairs(*(series_stack(pi, grid, mode) for mode in SeriesMode))

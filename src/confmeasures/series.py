@@ -11,9 +11,9 @@ so column j is (c_j * pi_j on the diagonal, (1 - c_j) / (k - 1) * pi_j off it).
 
 Two one-parameter series are derived from a grid of retention values c:
 ALL_CLASSES erodes every class at rate c; FIRST_CLASS_ONLY erodes only class 1
-and keeps the rest perfect. ``series_matrix`` builds one member of a series
-at a retention c, and ``series_stack`` many members at once, as an
-``(n, k, k)`` array of cells; both share one formula. The proportions and
+and keeps the rest perfect. ``series_stack`` builds the members of a series
+at many retentions c at once, as an ``(n, k, k)`` array of cells, and
+``series_matrix`` is its ``ConfusionMatrix`` of one. The proportions and
 the retentions are checked where they enter; cells built from valid ones are
 valid, so ``series_stack`` does not check its cells again.
 
@@ -148,18 +148,15 @@ def _series_rates(k: int, c: np.ndarray, mode: SeriesMode) -> np.ndarray:
 def series_matrix(pi: ProportionVector, c: float, mode: SeriesMode,
                   ) -> ConfusionMatrix:
     """A single series member at retention ``c``."""
-    rates = _series_rates(pi.k, np.array([c], dtype=float), mode)
-    _check_rates(rates)
-    return ConfusionMatrix(_controlled_cells(pi, rates)[0])
+    return ConfusionMatrix(series_stack(pi, [c], mode)[0])
 
 
 def series_stack(pi: ProportionVector, c, mode: SeriesMode) -> np.ndarray:
     """Cells of the series members at the retentions ``c``, as ``(n, k, k)``.
 
-    Member ``i`` equals ``series_matrix(pi, c[i], mode).cells`` bit for bit.
-    The retentions are checked as in ``series_matrix``, the first bad one
-    raising its error; the cells are not, since valid proportions and
-    retentions give cells that are finite, non-negative and sum to 1.
+    The retentions are checked, the first bad one raising its error; the
+    cells are not, since valid proportions and retentions give cells that
+    are finite, non-negative and sum to 1.
     """
     rates = _series_rates(pi.k, np.asarray(c, dtype=float).reshape(-1), mode)
     _check_rates(rates)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmeasures import discrimination
+from confmeasures import discrimination, measures
 from confmeasures import (
     ConfusionMatrix,
     InsufficientData,
@@ -358,12 +358,9 @@ def pair_set_error(call):
 
 def indexed_cells(pairs, n_pairs):
     """The cells of the (first, second) matrices that ``_index_pairs``
-    resolves each of the ``n_pairs`` pairs to, through its stacks and slot
+    resolves each of the ``n_pairs`` pairs to, through its stack and
     index."""
-    stacks, index = _index_pairs(pairs, None)
-    cells = {}
-    for group, stack in stacks:
-        cells.update(zip(np.asarray(group).tolist(), stack))
+    cells, index = _index_pairs(pairs, None)
     assert index.shape == (2, n_pairs)
     return [(cells[a], cells[b]) for a, b in index.T.tolist()]
 
@@ -435,6 +432,15 @@ class TestSeriesPairSet:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(pairs, field)
         assert consistency(K.OSR, K.COHEN_KAPPA, pairs) == want
+
+    def test_copies_stay_read_only(self):
+        pairs = series_pairs(3, 0.5, grid_step=0.25)
+        for twin in (copy.copy(pairs), copy.deepcopy(pairs),
+                     pickle.loads(pickle.dumps(pairs))):
+            for stack in (twin.first, twin.second):
+                assert not stack.flags.writeable
+                with pytest.raises(ValueError):
+                    stack[0, 0, 0] = 1.0
 
     def test_copies_keep_the_outer_product(self):
         pairs = series_pairs(3, 0.5, grid_step=0.25)
@@ -669,39 +675,69 @@ class TestAgainstPerPairLoop:
         assert part.pairs_compared == len(pairs)
 
 
-@st.composite
-def mixed_k_pair_lists(draw):
-    """Pairs over a pool of matrices with k in 2..4, within and across k."""
-    pool = []
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        k = draw(st.integers(min_value=2, max_value=4))
-        counts = np.array(draw(st.lists(st.integers(0, 3), min_size=k * k,
-                                        max_size=k * k)), dtype=float)
-        counts = counts.reshape(k, k)
-        if counts.sum() == 0:
-            counts[0, 0] = 1.0
-        pool.append(ConfusionMatrix(counts / counts.sum()))
-    slot = st.integers(min_value=0, max_value=len(pool) - 1)
-    index = draw(st.lists(st.tuples(slot, slot), max_size=10))
-    return [(pool[a], pool[b]) for a, b in index]
+class TestOnePairSetOneK:
+    """A caller-given pair set holds matrices of one k."""
+
+    def test_mixed_k_rejected(self):
+        pairs = [*fresh_series_pairs(3, 0.0, uniform_grid(0.5)),
+                 *fresh_series_pairs(4, 0.0, uniform_grid(0.5))]
+        for call in (lambda: consistency(K.OSR, K.CSI, pairs),
+                     lambda: consistency(K.TPR, K.PPV, pairs, class_index=4),
+                     lambda: equivalence_classes([K.OSR], iter(pairs))):
+            with pytest.raises(InvalidInput) as exc:
+                call()
+            # the first pair holding a 4-class matrix is the tenth
+            assert str(exc.value) == ("pair 10 holds a 4-class matrix, the "
+                                      "first matrix has 3 classes")
+            assert exc.value.parameter == "pairs"
+            assert exc.value.value == 10
+
+    def test_k_of_either_member_is_checked(self):
+        a, b = (series_matrix(class_proportions(k, 0.0), 0.5,
+                              SeriesMode.ALL_CLASSES) for k in (3, 4))
+        for pairs, at in (([(a, a), (a, b)], 2), ([(a, b)], 1),
+                          ([(b, b), (b, a)], 2)):
+            with pytest.raises(InvalidInput) as exc:
+                consistency(K.OSR, K.CSI, pairs)
+            assert exc.value.value == at
 
 
-class TestMixedK:
-    @given(mixed_k_pair_lists(), st.sampled_from(PROPERTY_KINDS),
-           st.sampled_from(PROPERTY_KINDS))
-    @settings(max_examples=100, deadline=None)
-    def test_consistency(self, pairs, kind_a, kind_b):
-        res = consistency(kind_a, kind_b, pairs, class_index=2)
-        assert ((res.total, res.concordant, res.excluded)
-                == brute_consistency(kind_a, kind_b, pairs, 2))
+class TestOnePassPerPairSet:
+    """A partition evaluates all its kinds in one pass over its pair set:
+    the one-vs-rest counts are taken once, and not at all when no kind
+    needs them."""
 
-    def test_class_index_checked_on_every_k(self):
-        pairs = [*fresh_series_pairs(4, 0.0, uniform_grid(0.5)),
-                 *fresh_series_pairs(3, 0.0, uniform_grid(0.5))]
-        with pytest.raises(InvalidInput) as exc:
-            consistency(K.TPR, K.PPV, pairs, class_index=4)
-        assert exc.value.value == 4
-        assert "1..3" in str(exc.value)
+    @staticmethod
+    def count_counts(monkeypatch):
+        calls = []
+        counts = measures._counts
+        monkeypatch.setattr(measures, "_counts",
+                            lambda cells: calls.append(len(cells))
+                            or counts(cells))
+        return calls
+
+    def test_one_counts_call_per_pair_set(self, monkeypatch):
+        calls = self.count_counts(monkeypatch)
+        pairs = series_pairs(3, 0.5, grid_step=0.1)
+        kinds = [K.TPR, K.TNR, K.PPV, K.NPV, K.F_MEASURE, K.JCC, K.ICSI,
+                 K.KULCZYNSKI, K.CSI, K.OSR]
+        equivalence_classes(kinds[:1], pairs, class_index=2)
+        assert calls == []  # a single kind evaluates nothing
+        equivalence_classes(kinds, pairs, class_index=2)
+        assert calls == [2 * 11]
+        consistency(K.PPV, K.CSI, pairs, class_index=1)
+        assert calls == [2 * 11] * 2
+        listed = random_pairs(3, 6)
+        equivalence_classes(kinds, listed, class_index=1)
+        assert calls == [2 * 11] * 2 + [12]
+
+    def test_no_counts_without_a_ratio_kind(self, monkeypatch):
+        calls = self.count_counts(monkeypatch)
+        pairs = series_pairs(3, 0.5, grid_step=0.1)
+        equivalence_classes([K.OSR, K.COHEN_KAPPA, K.SCOTT_PI, K.MAXWELL_RE],
+                            pairs)
+        discrimination_line(K.OSR, 3, 0.5, grid_step=0.1)
+        assert calls == []
 
 
 def per_row_line(kind, k, p, class_index, grid, c_lo):

@@ -25,6 +25,7 @@ from confmeasures import (
     value_range,
 )
 from confmeasures import gt
+from confmeasures.measures import _evaluate_kinds
 from confmeasures.series import SeriesMode, class_proportions, series_stack
 from conftest import random_matrix, random_matrix_with_columns
 
@@ -669,11 +670,11 @@ _SHAPES = ["any", "empty true class", "never predicted", "perfect"]
 
 
 @st.composite
-def _member_stacks(draw) -> np.ndarray:
-    """An ``(n, k, k)`` stack at k 2 to 6: series members, or count tables
-    with an empty true class (column), a class never predicted (row) or no
-    error at all."""
-    k = draw(st.integers(2, 6))
+def _member_stacks(draw, max_k: int = 6) -> np.ndarray:
+    """An ``(n, k, k)`` stack at k 2 to ``max_k``: series members, or count
+    tables with an empty true class (column), a class never predicted (row)
+    or no error at all."""
+    k = draw(st.integers(2, max_k))
     if draw(st.booleans()):
         pi = class_proportions(k, draw(st.floats(0.0, 1.0)))
         c = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
@@ -734,3 +735,27 @@ class TestMemberIndependentOfStack:
         for i in range(len(c)):
             row = series_stack(pi, c[i:i + 1], mode)[0]
             assert stack[i].tobytes() == row.tobytes()
+
+
+class TestOnePass:
+    """``_evaluate_kinds`` evaluates many kinds in one pass over a stack,
+    sharing the one-vs-rest counts; each kind equals its own
+    ``evaluate_stack`` call bit for bit, in any order of the kinds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_member_stacks(max_k=9), st.permutations(list(K)))
+    @example(np.stack([np.eye(9) / 9, np.full((9, 9), 1 / 81)]), list(K))
+    def test_all_kinds_equal_one_kind_at_a_time(self, cells, kinds):
+        n, k = cells.shape[0], cells.shape[-1]
+        results = list(_evaluate_kinds(cells, kinds))
+        assert len(results) == len(kinds)
+        for kind, (values, defined) in zip(kinds, results):
+            assert values.shape == defined.shape == (
+                (n, k) if kind.class_specific else (n,))
+            for ci in (range(1, k + 1) if kind.class_specific else [None]):
+                got = ((values[:, ci - 1], defined[:, ci - 1]) if ci
+                       else (values, defined))
+                want = evaluate_stack(cells, kind, ci)
+                assert got[1].tolist() == want[1].tolist(), (kind, ci)
+                assert (got[0][got[1]].tobytes()
+                        == want[0][want[1]].tobytes()), (kind, ci)
